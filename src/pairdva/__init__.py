@@ -9,19 +9,18 @@ from .errors import (ConfigError, DomainError, EmptyWindowError, FeatureError,
                      NoPeakError, PairDvaError, SpanError, SweepError)
 from .halfcell import docv_dz, ocv, u_neg, u_pos
 from .kernels import NUMBA_ENABLED, backend
-from .pairsim import (CellParams, PairParams, SimConfig, SimTrace,
+from .pairsim import (CellParams, PairParams, PairSpec, SimConfig, SimTrace,
                       current_split, make_pair, simulate_cc_discharge,
                       single_cell_reference, terminal_voltage)
 from .signal import (DvDqCurve, PeakSample, SmoothingConfig, VOLTAGE_WINDOW,
                      downselect_window, dvdq_curve, peak_height,
                      resample_uniform_q)
-from .features import (PeakFeatures, SkewnessResult, SurrogateFit,
-                       extract_features, fit_positive_surrogate,
+from .features import (AnalysisConfig, PeakFeatures, SkewnessResult,
+                       SurrogateFit, extract_features, fit_positive_surrogate,
                        skewness_pipeline, weighted_skewness)
-from .sweep import (Candidate, FeatureMap, IdentificationResult, ProductBin,
-                    ProductCurve, SweepCell, default_alpha_grid,
-                    default_beta_grid, identify_product, product_curve,
-                    run_sweep)
+from .sweep import (Candidate, FeatureMap, GridConfig, IdentificationResult,
+                    ProductBin, ProductCurve, SweepCell, identify_product,
+                    product_curve, run_sweep)
 
 __version__ = "0.1.0"
 
@@ -31,15 +30,16 @@ __all__ = [
     "NoPeakError", "PairDvaError", "SpanError", "SweepError",
     "docv_dz", "ocv", "u_neg", "u_pos",
     "NUMBA_ENABLED", "backend",
-    "CellParams", "PairParams", "SimConfig", "SimTrace", "current_split",
-    "make_pair", "simulate_cc_discharge", "single_cell_reference",
-    "terminal_voltage",
+    "CellParams", "PairParams", "PairSpec", "SimConfig", "SimTrace",
+    "current_split", "make_pair", "simulate_cc_discharge",
+    "single_cell_reference", "terminal_voltage",
     "DvDqCurve", "PeakSample", "SmoothingConfig", "VOLTAGE_WINDOW",
     "downselect_window", "dvdq_curve", "peak_height", "resample_uniform_q",
-    "PeakFeatures", "SkewnessResult", "SurrogateFit", "extract_features",
-    "fit_positive_surrogate", "skewness_pipeline", "weighted_skewness",
-    "Candidate", "FeatureMap", "IdentificationResult", "ProductBin",
-    "ProductCurve", "SweepCell", "default_alpha_grid", "default_beta_grid",
-    "identify_product", "product_curve", "run_sweep",
+    "AnalysisConfig", "PeakFeatures", "SkewnessResult", "SurrogateFit",
+    "extract_features", "fit_positive_surrogate", "skewness_pipeline",
+    "weighted_skewness",
+    "Candidate", "FeatureMap", "GridConfig", "IdentificationResult",
+    "ProductBin", "ProductCurve", "SweepCell", "identify_product",
+    "product_curve", "run_sweep",
     "__version__",
 ]

@@ -4,27 +4,27 @@ Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file (--config), then explicit flags. Unknown config
 keys are rejected. Any library error is reported as one machine-readable
 JSON object on stderr with a nonzero exit code.
+
+Every setting with a library default is a field of a config dataclass;
+the schema, the flags and the objects handed to the library are all derived
+from those fields. A field's key is its name, or its ``key`` metadata where
+the CLI adds a unit suffix, and nested config objects are flattened.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .errors import ConfigError, FormatError, PairDvaError
-from .features import extract_features
-from .pairsim import SimConfig, make_pair, simulate_cc_discharge
-from .signal import SmoothingConfig
-from .sweep import identify_product, product_curve, run_sweep
+from .features import AnalysisConfig, extract_features
+from .pairsim import PairSpec, SimConfig, make_pair, simulate_cc_discharge
+from .sweep import GridConfig, identify_product, product_curve, run_sweep
 
 OUTDIR_ENV = "PAIRDVA_OUTDIR"
-
-# key -> (caster, default)
-_FLOAT = float
 
 
 def _float_or_none(text):
@@ -33,36 +33,39 @@ def _float_or_none(text):
     return float(text)
 
 
-_SCHEMA = {
-    "alpha": (_FLOAT, 1.0),
-    "beta": (_FLOAT, 1.0),
-    "c_total_ah": (_FLOAT, 120.0),
-    "r_parallel_ohm": (_FLOAT, 0.001),
-    "c_rate": (_FLOAT, 1.0 / 3.0),
-    "dt_s": (_FLOAT, 1.0),
-    "z0": (_FLOAT, 1.0),
-    "v_cutoff_v": (_FLOAT, 3.0),
-    "soc_floor": (_FLOAT, 0.02),
-    "t_max_s": (_float_or_none, None),
-    "dq_ah": (_FLOAT, 0.05),
-    "sg_window": (int, 25),
-    "sg_order": (int, 3),
-    "v_lo": (_FLOAT, 3.7),
-    "v_hi": (_FLOAT, 3.9),
-    "density_floor": (_FLOAT, 0.005),
-    "fit_tol": (_FLOAT, 0.005),
-    "alpha_min": (_FLOAT, 0.5),
-    "alpha_max": (_FLOAT, 1.0),
-    "alpha_steps": (int, 11),
-    "beta_min": (_FLOAT, 1.0),
-    "beta_max": (_FLOAT, 2.0),
-    "beta_steps": (int, 11),
-    "bin_width": (_FLOAT, 0.02),
-    "workers": (int, 1),
-    "skew_resolution": (_float_or_none, None),
-    "outdir": (str, None),
-    "out": (str, None),
-}
+def _key(f):
+    return f.metadata.get("key", f.name)
+
+
+def _leaves(cls):
+    """(key, field) for each setting of a config class, nested ones
+    flattened in field order."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from _leaves(f.type)
+        else:
+            yield _key(f), f
+
+
+def _keys(*classes):
+    return tuple(key for cls in classes for key, _ in _leaves(cls))
+
+
+def _build(cls, cfg):
+    """Config object of class cls from the resolved flat settings."""
+    return cls(**{f.name: _build(f.type, cfg)
+                  if dataclasses.is_dataclass(f.type)
+                  else cfg[_key(f)]
+                  for f in dataclasses.fields(cls)})
+
+
+_CONFIGS = (PairSpec, SimConfig, AnalysisConfig, GridConfig)
+
+# key -> (caster, default); a setting that defaults to None also takes "none"
+_SCHEMA = {key: (_float_or_none if f.default is None else f.type, f.default)
+           for cls in _CONFIGS for key, f in _leaves(cls)}
+_SCHEMA.update(skew_resolution=(_float_or_none, None), outdir=(str, None),
+               out=(str, None))
 
 
 def load_config_file(path) -> dict:
@@ -112,21 +115,6 @@ def _outdir(cfg) -> Path:
     return path
 
 
-def _sim_config(cfg) -> SimConfig:
-    return SimConfig(c_rate=cfg["c_rate"], dt=cfg["dt_s"], z0=cfg["z0"],
-                     v_cutoff=cfg["v_cutoff_v"], soc_floor=cfg["soc_floor"],
-                     t_max=cfg["t_max_s"])
-
-
-def _smoothing(cfg) -> SmoothingConfig:
-    return SmoothingConfig(dq_ah=cfg["dq_ah"], sg_window=cfg["sg_window"],
-                           sg_order=cfg["sg_order"])
-
-
-def _echo(cfg) -> dict:
-    return {key: cfg[key] for key in _SCHEMA}
-
-
 def _emit(text: str, cfg, sidecar: dict = None):
     """Write text to stdout or to <outdir>/<out>, with optional sidecar."""
     out = cfg["out"]
@@ -144,15 +132,14 @@ def _emit(text: str, cfg, sidecar: dict = None):
 
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
-    pair = make_pair(cfg["alpha"], cfg["beta"], cfg["c_total_ah"],
-                     cfg["r_parallel_ohm"])
-    trace = simulate_cc_discharge(pair, _sim_config(cfg))
+    pair = make_pair(**dataclasses.asdict(_build(PairSpec, cfg)))
+    trace = simulate_cc_discharge(pair, _build(SimConfig, cfg))
     outdir = _outdir(cfg)
     base = cfg["out"] or "trace"
     csv_path = outdir / f"{base}.csv"
     side_path = outdir / f"{base}.json"
     fileio.write_trace_csv(trace, csv_path)
-    fileio.write_json(fileio.trace_sidecar(trace, run_config=_echo(cfg)),
+    fileio.write_json(fileio.trace_sidecar(trace, run_config=cfg),
                       side_path)
     print(csv_path)
     print(side_path)
@@ -162,34 +149,30 @@ def cmd_simulate(args) -> int:
 def cmd_features(args) -> int:
     cfg = resolve_config(args)
     trace = fileio.read_trace_csv(args.trace)
-    feats = extract_features(trace, _smoothing(cfg), cfg["v_lo"], cfg["v_hi"],
-                             cfg["density_floor"], cfg["fit_tol"])
-    sidecar = {"kind": "features_config", "input": str(args.trace),
-               "run_config": _echo(cfg)}
+    feats = extract_features(trace, _build(AnalysisConfig, cfg))
+    sidecar = fileio.sidecar("features_config", cfg,
+                             input=str(args.trace))
     _emit(fileio.dumps_json(fileio.features_dict(feats)), cfg, sidecar)
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    alpha_grid = np.round(np.linspace(cfg["alpha_min"], cfg["alpha_max"],
-                                      cfg["alpha_steps"]), 12)
-    beta_grid = np.round(np.linspace(cfg["beta_min"], cfg["beta_max"],
-                                     cfg["beta_steps"]), 12)
-    fmap = run_sweep(alpha_grid, beta_grid, c_total=cfg["c_total_ah"],
-                     r_parallel=cfg["r_parallel_ohm"],
-                     sim_config=_sim_config(cfg), smoothing=_smoothing(cfg),
-                     v_lo=cfg["v_lo"], v_hi=cfg["v_hi"],
-                     density_floor=cfg["density_floor"],
-                     fit_tol=cfg["fit_tol"], workers=cfg["workers"])
-    curve = product_curve(fmap, cfg["bin_width"])
+    grid = _build(GridConfig, cfg)
+    pair = _build(PairSpec, cfg)
+    fmap = run_sweep(grid.alpha_grid, grid.beta_grid, c_total=pair.c_total,
+                     r_parallel=pair.r_parallel,
+                     sim_config=_build(SimConfig, cfg),
+                     analysis=_build(AnalysisConfig, cfg),
+                     workers=grid.workers)
+    curve = product_curve(fmap, grid.bin_width)
     outdir = _outdir(cfg)
     map_path = outdir / "featuremap.csv"
     curve_path = outdir / "product_curve.csv"
     side_path = outdir / "sweep.json"
     fileio.write_featuremap_csv(fmap, map_path)
     fileio.write_product_curve_csv(curve, curve_path)
-    fileio.write_json(fileio.sweep_sidecar(fmap, run_config=_echo(cfg)),
+    fileio.write_json(fileio.sweep_sidecar(fmap, run_config=cfg),
                       side_path)
     print(map_path)
     print(curve_path)
@@ -203,7 +186,7 @@ def cmd_identify(args) -> int:
     curve = fileio.read_product_curve_csv(args.curve)
     result = identify_product(feats, curve,
                               skew_resolution=cfg["skew_resolution"])
-    doc = fileio.identification_dict(result, run_config=_echo(cfg))
+    doc = fileio.identification_dict(result, run_config=cfg)
     doc["inputs"] = {"features": str(args.features), "curve": str(args.curve)}
     _emit(fileio.dumps_json(doc), cfg)
     return 0
@@ -215,14 +198,6 @@ def _add_keys(parser, keys):
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=key, type=caster, default=None,
                             metavar=key.upper())
-
-
-_SCENARIO = ("alpha", "beta", "c_total_ah", "r_parallel_ohm")
-_SIM = ("c_rate", "dt_s", "z0", "v_cutoff_v", "soc_floor", "t_max_s")
-_SMOOTH = ("dq_ah", "sg_window", "sg_order")
-_WINDOW = ("v_lo", "v_hi", "density_floor", "fit_tol")
-_GRID = ("alpha_min", "alpha_max", "alpha_steps", "beta_min", "beta_max",
-         "beta_steps", "bin_width", "workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate",
                            help="CC-discharge one pair; write trace CSV")
     common(p_sim)
-    _add_keys(p_sim, _SCENARIO + _SIM)
+    _add_keys(p_sim, _keys(PairSpec, SimConfig))
     p_sim.add_argument("--out", dest="out", default=None,
                        help="output base name (default: trace)")
     p_sim.set_defaults(func=cmd_simulate)
@@ -250,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="extract peak features from a trace CSV")
     common(p_feat)
     p_feat.add_argument("trace", help="trace CSV (t_s,i_total_A,vt_V needed)")
-    _add_keys(p_feat, _SMOOTH + _WINDOW)
+    _add_keys(p_feat, _keys(AnalysisConfig))
     p_feat.add_argument("--out", dest="out", default=None,
                         help="output file name, or - for stdout (default)")
     p_feat.set_defaults(func=cmd_features)
@@ -259,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="sweep the (alpha, beta) grid and bin by "
                                   "product")
     common(p_sweep)
-    _add_keys(p_sweep, ("c_total_ah", "r_parallel_ohm") + _SIM + _SMOOTH
-              + _WINDOW + _GRID)
+    # the grid takes the place of a single pair's ratios
+    _add_keys(p_sweep, [key for key in _keys(*_CONFIGS)
+                        if key not in ("alpha", "beta")])
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_id = sub.add_parser("identify",
@@ -268,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_id)
     p_id.add_argument("features", help="features JSON file")
     p_id.add_argument("curve", help="product-curve CSV from a sweep")
-    p_id.add_argument("--skew-resolution", dest="skew_resolution",
-                      type=_float_or_none, default=None,
-                      metavar="SKEW_RESOLUTION")
+    _add_keys(p_id, ("skew_resolution",))
     p_id.add_argument("--out", dest="out", default=None,
                       help="output file name, or - for stdout (default)")
     p_id.set_defaults(func=cmd_identify)

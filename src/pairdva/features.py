@@ -8,7 +8,7 @@ over q, drop low-density samples, and take weighted moments.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import savgol_filter
@@ -22,6 +22,18 @@ MIN_SURVIVORS = 10
 FIT_TOL = 0.005            # volts RMS; above this the fit is not converged
 
 _PARAM_NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Feature-extraction settings: smoothing, voltage window, density
+    floor and fit tolerance."""
+
+    smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
+    v_lo: float = VOLTAGE_WINDOW[0]
+    v_hi: float = VOLTAGE_WINDOW[1]
+    density_floor: float = DENSITY_FLOOR
+    fit_tol: float = FIT_TOL
 
 
 @dataclass
@@ -250,21 +262,17 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
                           weights=w, density=density, kept=kept)
 
 
-def extract_features(trace, smoothing: SmoothingConfig = None,
-                     v_lo: float = VOLTAGE_WINDOW[0],
-                     v_hi: float = VOLTAGE_WINDOW[1],
-                     density_floor: float = DENSITY_FLOOR,
-                     fit_tol: float = FIT_TOL) -> PeakFeatures:
+def extract_features(trace, analysis: AnalysisConfig = None) -> PeakFeatures:
     """Full feature extraction for one discharge trace (pair signals only)."""
-    smoothing = smoothing if smoothing is not None else SmoothingConfig()
-    curve = dvdq_curve(trace, smoothing, source="pair")
-    win = downselect_window(curve, v_lo, v_hi)
+    analysis = analysis if analysis is not None else AnalysisConfig()
+    curve = dvdq_curve(trace, analysis.smoothing, source="pair")
+    win = downselect_window(curve, analysis.v_lo, analysis.v_hi)
     peak = peak_height(win)
     fit = fit_positive_surrogate(win.q, win.v,
                                  init_hints={"e": peak.q_at_peak},
-                                 fit_tol=fit_tol)
-    skew = skewness_pipeline(win.q, win.v, fit, smoothing,
-                             density_floor=density_floor)
+                                 fit_tol=analysis.fit_tol)
+    skew = skewness_pipeline(win.q, win.v, fit, analysis.smoothing,
+                             density_floor=analysis.density_floor)
     return PeakFeatures(height=peak.height, q_at_peak=peak.q_at_peak,
                         v_at_peak=peak.v_at_peak, skewness=skew.skewness,
-                        fit=fit, window=(v_lo, v_hi))
+                        fit=fit, window=(analysis.v_lo, analysis.v_hi))

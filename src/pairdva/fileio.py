@@ -5,20 +5,21 @@ produce byte-identical files. Sidecar JSONs echo the fully resolved
 configuration so any output can regenerate its run.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from . import __version__
 from .errors import FormatError
 from .features import PeakFeatures, SurrogateFit
-from .pairsim import CellParams, PairParams, SimConfig, SimTrace
-from .signal import DvDqCurve, SmoothingConfig
+from .kernels import backend
+from .pairsim import SimTrace
 from .sweep import FeatureMap, IdentificationResult, ProductBin, ProductCurve
 
 TRACE_HEADER = "t_s,i_total_A,i1_A,i2_A,z1,z2,q_pair_Ah,q1_Ah,q2_Ah,vt_V"
-CURVE_HEADER = "q_Ah,v_V,dvdq_V_per_Ah"
 FEATUREMAP_HEADER = "alpha,beta,product,height_V_per_Ah,skewness,status"
 PRODUCT_CURVE_HEADER = ("product,mean_height,mean_skewness,spread_height,"
                         "spread_skewness,n")
@@ -47,12 +48,24 @@ def _rounded(obj):
     return obj
 
 
-def write_json(obj, path):
-    Path(path).write_text(json.dumps(_rounded(obj), indent=2) + "\n")
-
-
 def dumps_json(obj) -> str:
     return json.dumps(_rounded(obj), indent=2) + "\n"
+
+
+def write_json(obj, path):
+    Path(path).write_text(dumps_json(obj))
+
+
+def sidecar(kind: str, run_config: dict, **fields) -> dict:
+    """Sidecar document: the output kind, the package version and backend
+    that made it, the given fields (dataclasses stored field by field) and
+    the resolved run configuration."""
+    doc = {"kind": kind, "pairdva": __version__, "backend": backend()}
+    for key, value in fields.items():
+        doc[key] = (dataclasses.asdict(value)
+                    if dataclasses.is_dataclass(value) else value)
+    doc["run_config"] = dict(run_config)
+    return doc
 
 
 # --- simulation traces -----------------------------------------------------
@@ -66,50 +79,11 @@ def write_trace_csv(trace: SimTrace, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _cell_dict(cell: CellParams):
-    return {"capacity_ah": cell.capacity_ah,
-            "resistance_ohm": cell.resistance_ohm}
-
-
-def params_dict(params):
-    if isinstance(params, PairParams):
-        return {"cell1": _cell_dict(params.cell1),
-                "cell2": _cell_dict(params.cell2),
-                "r_tot_ohm": params.r_tot,
-                "alpha": params.alpha,
-                "beta": params.beta}
-    if isinstance(params, CellParams):
-        return {"cell": _cell_dict(params)}
-    return None
-
-
-def sim_config_dict(config: SimConfig):
-    if config is None:
-        return None
-    return {"c_rate": config.c_rate, "dt": config.dt, "z0": config.z0,
-            "v_cutoff": config.v_cutoff, "soc_floor": config.soc_floor,
-            "t_max": config.t_max}
-
-
-def smoothing_dict(config: SmoothingConfig):
-    if config is None:
-        return None
-    return {"dq_ah": config.dq_ah, "sg_window": config.sg_window,
-            "sg_order": config.sg_order}
-
-
-def trace_sidecar(trace: SimTrace, run_config: dict = None) -> dict:
-    side = {
-        "kind": "sim_trace",
-        "params": params_dict(trace.params),
-        "sim_config": sim_config_dict(trace.config),
-        "termination_reason": trace.reason,
-        "single_cell": not trace.has_cell2,
-        "current_reversal": trace.current_reversal,
-    }
-    if run_config is not None:
-        side["run_config"] = dict(run_config)
-    return side
+def trace_sidecar(trace: SimTrace, run_config: dict) -> dict:
+    return sidecar("sim_trace", run_config, params=trace.params,
+                   sim_config=trace.config, termination_reason=trace.reason,
+                   single_cell=not trace.has_cell2,
+                   current_reversal=trace.current_reversal)
 
 
 def read_trace_csv(path) -> SimTrace:
@@ -162,24 +136,6 @@ def read_trace_csv(path) -> SimTrace:
         has_cell2=per_cell)
 
 
-# --- dV/dQ curves -----------------------------------------------------------
-
-def write_curve_csv(curve: DvDqCurve, path):
-    lines = [CURVE_HEADER]
-    for k in range(len(curve)):
-        lines.append(f"{fmt(curve.q[k])},{fmt(curve.v[k])},"
-                     f"{fmt(curve.dvdq[k])}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def curve_sidecar(curve: DvDqCurve, run_config: dict = None) -> dict:
-    side = {"kind": "dvdq_curve", "source": curve.source,
-            "smoothing": smoothing_dict(curve.smoothing)}
-    if run_config is not None:
-        side["run_config"] = dict(run_config)
-    return side
-
-
 # --- features ----------------------------------------------------------------
 
 def features_dict(features: PeakFeatures) -> dict:
@@ -197,10 +153,6 @@ def features_dict(features: PeakFeatures) -> dict:
         },
         "window_V": [features.window[0], features.window[1]],
     }
-
-
-def write_features_json(features: PeakFeatures, path):
-    write_json(features_dict(features), path)
 
 
 def read_features_json(path) -> PeakFeatures:
@@ -243,21 +195,14 @@ def write_featuremap_csv(fmap: FeatureMap, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def sweep_sidecar(fmap: FeatureMap, run_config: dict = None) -> dict:
-    side = {
-        "kind": "feature_map",
-        "alpha_grid": [float(a) for a in fmap.alpha_grid],
-        "beta_grid": [float(b) for b in fmap.beta_grid],
-        "c_total_ah": fmap.c_total,
-        "r_parallel_ohm": fmap.r_parallel,
-        "sim_config": sim_config_dict(fmap.sim_config),
-        "smoothing": smoothing_dict(fmap.smoothing),
-        "n_ok": sum(1 for c in fmap.cells if c.ok),
-        "n_cells": len(fmap.cells),
-    }
-    if run_config is not None:
-        side["run_config"] = dict(run_config)
-    return side
+def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
+    return sidecar("feature_map", run_config,
+                   alpha_grid=[float(a) for a in fmap.alpha_grid],
+                   beta_grid=[float(b) for b in fmap.beta_grid],
+                   c_total_ah=fmap.c_total, r_parallel_ohm=fmap.r_parallel,
+                   sim_config=fmap.sim_config, smoothing=fmap.smoothing,
+                   n_ok=sum(1 for c in fmap.cells if c.ok),
+                   n_cells=len(fmap.cells))
 
 
 def write_product_curve_csv(curve: ProductCurve, path):

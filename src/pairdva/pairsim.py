@@ -7,7 +7,7 @@ integrates dz_i/dt = i_i / (3600 * C_i) with the algebraic current split
 re-evaluated at every RK4 stage.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,19 @@ class PairParams:
 
 
 @dataclass(frozen=True)
+class PairSpec:
+    """One pair: its imbalance ratios and the pair-level nameplate (total
+    capacity in amp-hours, parallel resistance in ohms) that a sweep holds
+    fixed."""
+
+    alpha: float = 1.0
+    beta: float = 1.0
+    c_total: float = field(default=120.0, metadata={"key": "c_total_ah"})
+    r_parallel: float = field(default=0.001,
+                              metadata={"key": "r_parallel_ohm"})
+
+
+@dataclass(frozen=True)
 class SimConfig:
     """Constant-current discharge settings.
 
@@ -68,11 +81,11 @@ class SimConfig:
     """
 
     c_rate: float = 1.0 / 3.0
-    dt: float = 1.0
+    dt: float = field(default=1.0, metadata={"key": "dt_s"})
     z0: float = 1.0
-    v_cutoff: float = 3.0
+    v_cutoff: float = field(default=3.0, metadata={"key": "v_cutoff_v"})
     soc_floor: float = 0.02
-    t_max: float = None
+    t_max: float = field(default=None, metadata={"key": "t_max_s"})
 
     def __post_init__(self):
         if not (self.c_rate > 0.0):
@@ -120,8 +133,8 @@ class SimTrace:
         return len(self.t)
 
 
-def make_pair(alpha: float, beta: float, c_total: float = 120.0,
-              r_parallel: float = 0.001) -> PairParams:
+def make_pair(alpha: float, beta: float, c_total: float = PairSpec.c_total,
+              r_parallel: float = PairSpec.r_parallel) -> PairParams:
     """Build an imbalanced pair with fixed total capacity and parallel
     resistance.
 

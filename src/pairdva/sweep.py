@@ -13,17 +13,36 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, IdentifyError, PairDvaError, SweepError
-from .features import (DENSITY_FLOOR, FIT_TOL, PeakFeatures, extract_features)
-from .pairsim import SimConfig, make_pair, simulate_cc_discharge
-from .signal import SmoothingConfig, VOLTAGE_WINDOW
+from .features import AnalysisConfig, PeakFeatures, extract_features
+from .pairsim import PairSpec, SimConfig, make_pair, simulate_cc_discharge
+from .signal import SmoothingConfig
 
 
-def default_alpha_grid():
-    return np.round(np.linspace(0.5, 1.0, 11), 12)
+def _grid(lo, hi, steps):
+    return np.round(np.linspace(lo, hi, steps), 12)
 
 
-def default_beta_grid():
-    return np.round(np.linspace(1.0, 2.0, 11), 12)
+@dataclass(frozen=True)
+class GridConfig:
+    """Sweep settings: the (alpha, beta) grid, the product bin width and
+    the worker count."""
+
+    alpha_min: float = 0.5
+    alpha_max: float = 1.0
+    alpha_steps: int = 11
+    beta_min: float = 1.0
+    beta_max: float = 2.0
+    beta_steps: int = 11
+    bin_width: float = 0.02
+    workers: int = 1
+
+    @property
+    def alpha_grid(self) -> np.ndarray:
+        return _grid(self.alpha_min, self.alpha_max, self.alpha_steps)
+
+    @property
+    def beta_grid(self) -> np.ndarray:
+        return _grid(self.beta_min, self.beta_max, self.beta_steps)
 
 
 @dataclass(frozen=True)
@@ -72,7 +91,7 @@ class ProductBin:
 @dataclass
 class ProductCurve:
     rows: list
-    bin_width: float = 0.02
+    bin_width: float = GridConfig.bin_width
 
 
 class Candidate(NamedTuple):
@@ -89,24 +108,23 @@ class IdentificationResult:
     note: str = ""
 
 
-def run_sweep(alpha_grid=None, beta_grid=None, *, c_total: float = 120.0,
-              r_parallel: float = 0.001, sim_config: SimConfig = None,
-              smoothing: SmoothingConfig = None,
-              v_lo: float = VOLTAGE_WINDOW[0],
-              v_hi: float = VOLTAGE_WINDOW[1],
-              density_floor: float = DENSITY_FLOOR,
-              fit_tol: float = FIT_TOL, workers: int = 1) -> FeatureMap:
+def run_sweep(alpha_grid=None, beta_grid=None, *,
+              c_total: float = PairSpec.c_total,
+              r_parallel: float = PairSpec.r_parallel,
+              sim_config: SimConfig = None, analysis: AnalysisConfig = None,
+              workers: int = GridConfig.workers) -> FeatureMap:
     """Simulate and extract features for every (alpha, beta) grid cell.
 
-    Per-cell failures are recorded in the cell status, not raised. Output
-    is independent of worker count: cells are computed independently and
-    collected in grid order.
+    Grids left out are the GridConfig defaults. Per-cell failures are
+    recorded in the cell status, not raised. Output is independent of
+    worker count: cells are computed independently and collected in grid
+    order.
     """
+    grid = GridConfig()
     alpha_grid = np.asarray(
-        default_alpha_grid() if alpha_grid is None else alpha_grid,
-        dtype=float)
+        grid.alpha_grid if alpha_grid is None else alpha_grid, dtype=float)
     beta_grid = np.asarray(
-        default_beta_grid() if beta_grid is None else beta_grid, dtype=float)
+        grid.beta_grid if beta_grid is None else beta_grid, dtype=float)
     if alpha_grid.ndim != 1 or beta_grid.ndim != 1 or not len(alpha_grid) \
             or not len(beta_grid):
         raise ConfigError("grids must be nonempty 1-d arrays")
@@ -117,7 +135,7 @@ def run_sweep(alpha_grid=None, beta_grid=None, *, c_total: float = 120.0,
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     sim_config = sim_config if sim_config is not None else SimConfig()
-    smoothing = smoothing if smoothing is not None else SmoothingConfig()
+    analysis = analysis if analysis is not None else AnalysisConfig()
 
     pairs = [(float(a), float(b)) for a in alpha_grid for b in beta_grid]
 
@@ -126,8 +144,7 @@ def run_sweep(alpha_grid=None, beta_grid=None, *, c_total: float = 120.0,
         try:
             trace = simulate_cc_discharge(
                 make_pair(a, b, c_total, r_parallel), sim_config)
-            feats = extract_features(trace, smoothing, v_lo, v_hi,
-                                     density_floor, fit_tol)
+            feats = extract_features(trace, analysis)
             return SweepCell(alpha=a, beta=b, features=feats, status="ok")
         except PairDvaError as err:
             return SweepCell(alpha=a, beta=b, features=None,
@@ -140,10 +157,11 @@ def run_sweep(alpha_grid=None, beta_grid=None, *, c_total: float = 120.0,
             cells = list(pool.map(one, pairs))
     return FeatureMap(alpha_grid=alpha_grid, beta_grid=beta_grid,
                       cells=cells, c_total=c_total, r_parallel=r_parallel,
-                      sim_config=sim_config, smoothing=smoothing)
+                      sim_config=sim_config, smoothing=analysis.smoothing)
 
 
-def product_curve(fmap: FeatureMap, bin_width: float = 0.02) -> ProductCurve:
+def product_curve(fmap: FeatureMap,
+                  bin_width: float = GridConfig.bin_width) -> ProductCurve:
     """Bin successful cells by p = alpha * beta and aggregate features.
 
     Spread is max - min within the bin (worst case, matching the visual

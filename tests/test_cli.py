@@ -1,5 +1,6 @@
 """End-to-end command-line checks (subprocess level)."""
 
+import argparse
 import filecmp
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pairdva
+from pairdva import cli
 from pairdva.fileio import (FEATUREMAP_HEADER, PRODUCT_CURVE_HEADER,
                             TRACE_HEADER)
 
@@ -46,6 +48,11 @@ def stderr_json(proc):
     return json.loads(proc.stderr.strip().splitlines()[-1])
 
 
+def assert_provenance(side):
+    assert side["pairdva"] == pairdva.__version__
+    assert side["backend"] == pairdva.backend()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
@@ -72,6 +79,7 @@ def test_simulate_outputs(sim_dir):
     assert side["current_reversal"] is False
     assert side["run_config"]["alpha"] == 1.0
     assert side["run_config"]["sg_window"] == 25
+    assert_provenance(side)
 
 
 def test_features_match_golden(sim_dir, workdir):
@@ -186,7 +194,9 @@ def test_outdir_env_and_sidecar(workdir, sim_dir):
     side = workdir / "envout" / "feats.config.json"
     assert out.exists() and side.exists()
     assert str(out) in proc.stdout
-    cfg = json.loads(side.read_text())["run_config"]
+    doc = json.loads(side.read_text())
+    assert_provenance(doc)
+    cfg = doc["run_config"]
     assert cfg["v_lo"] == 3.7 and cfg["density_floor"] == 0.005
 
 
@@ -218,6 +228,7 @@ def test_sweep_then_identify(workdir, sim_dir):
     curve_lines = (out / "product_curve.csv").read_text().splitlines()
     assert curve_lines[0] == PRODUCT_CURVE_HEADER
     assert len(curve_lines) == 1 + 3         # products 0.5, 1.0, 2.0
+    assert_provenance(json.loads((out / "sweep.json").read_text()))
 
     feats = run_cli(["features", str(sim_dir / "trace.csv"),
                      "--out", "feats.json", "--outdir", str(out)],
@@ -231,3 +242,57 @@ def test_sweep_then_identify(workdir, sim_dir):
     assert doc["p_hat"] == pytest.approx(1.0, abs=1e-6)
     assert doc["ambiguous"] is True
     assert doc["inputs"]["curve"].endswith("product_curve.csv")
+
+
+SIM_KEYS = ["--c-rate", "--dt-s", "--z0", "--v-cutoff-v", "--soc-floor",
+            "--t-max-s"]
+ANALYSIS_KEYS = ["--dq-ah", "--sg-window", "--sg-order", "--v-lo", "--v-hi",
+                 "--density-floor", "--fit-tol"]
+GRID_KEYS = ["--alpha-min", "--alpha-max", "--alpha-steps", "--beta-min",
+             "--beta-max", "--beta-steps", "--bin-width", "--workers"]
+COMMON = ["-h", "--help", "--config", "--outdir"]
+
+
+def test_cli_surface_is_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(opt for a in p._actions for opt in a.option_strings)
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "simulate": sorted(COMMON + ["--out", "--alpha", "--beta",
+                                     "--c-total-ah", "--r-parallel-ohm"]
+                           + SIM_KEYS),
+        "features": sorted(COMMON + ["--out"] + ANALYSIS_KEYS),
+        "sweep": sorted(COMMON + ["--c-total-ah", "--r-parallel-ohm"]
+                        + SIM_KEYS + ANALYSIS_KEYS + GRID_KEYS),
+        "identify": sorted(COMMON + ["--out", "--skew-resolution"]),
+    }
+    defaults = {key: default for key, (_, default) in cli._SCHEMA.items()}
+    assert list(defaults.items()) == [
+        ("alpha", 1.0), ("beta", 1.0), ("c_total_ah", 120.0),
+        ("r_parallel_ohm", 0.001), ("c_rate", 1.0 / 3.0), ("dt_s", 1.0),
+        ("z0", 1.0), ("v_cutoff_v", 3.0), ("soc_floor", 0.02),
+        ("t_max_s", None), ("dq_ah", 0.05), ("sg_window", 25),
+        ("sg_order", 3), ("v_lo", 3.7), ("v_hi", 3.9),
+        ("density_floor", 0.005), ("fit_tol", 0.005), ("alpha_min", 0.5),
+        ("alpha_max", 1.0), ("alpha_steps", 11), ("beta_min", 1.0),
+        ("beta_max", 2.0), ("beta_steps", 11), ("bin_width", 0.02),
+        ("workers", 1), ("skew_resolution", None), ("outdir", None),
+        ("out", None),
+    ]
+    ints = {key for key, (caster, _) in cli._SCHEMA.items() if caster is int}
+    assert ints == {"sg_window", "sg_order", "alpha_steps", "beta_steps",
+                    "workers"}
+
+
+def test_unit_suffixed_config_key_reaches_sim_config(workdir):
+    cfg = workdir / "dt2.cfg"
+    cfg.write_text("dt_s = 2.0\n")
+    out = workdir / "sim_dt2"
+    proc = run_cli(["simulate", "--config", str(cfg), "--outdir", str(out)],
+                   cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    side = json.loads((out / "trace.json").read_text())
+    assert side["sim_config"]["dt"] == 2.0
+    assert side["run_config"]["dt_s"] == 2.0

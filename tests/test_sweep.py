@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from pairdva import (IdentifyError, SimConfig, default_alpha_grid,
-                     default_beta_grid, extract_features, identify_product,
-                     make_pair, product_curve, run_sweep,
+from pairdva import (GridConfig, IdentifyError, SimConfig, extract_features,
+                     identify_product, make_pair, product_curve, run_sweep,
                      simulate_cc_discharge)
 
 
 def test_default_grids():
-    a = default_alpha_grid()
-    b = default_beta_grid()
+    a = GridConfig().alpha_grid
+    b = GridConfig().beta_grid
     assert len(a) == 11 and a[0] == 0.5 and a[-1] == 1.0
     assert len(b) == 11 and b[0] == 1.0 and b[-1] == 2.0
 
