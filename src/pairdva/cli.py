@@ -97,14 +97,13 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """defaults, then config file, then explicit flags."""
+    """defaults, then config file, then explicit flags (a flag left out
+    sets no attribute, so an explicit "none" still wins)."""
     cfg = {key: default for key, (_, default) in _SCHEMA.items()}
     if getattr(args, "config", None):
         cfg.update(load_config_file(args.config))
-    for key in _SCHEMA:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key in _SCHEMA)
     return cfg
 
 
@@ -196,8 +195,7 @@ def _add_keys(parser, keys):
     for key in keys:
         caster, _ = _SCHEMA[key]
         flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=caster, default=None,
-                            metavar=key.upper())
+        parser.add_argument(flag, dest=key, type=caster, metavar=key.upper())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,47 +205,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "capacity/resistance imbalance from dV/dQ peak shape.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        # a flag that is not given sets no attribute (see resolve_config)
+        p = sub.add_parser(name, help=summary,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", default=None,
                        help="flat key = value settings file")
-        p.add_argument("--outdir", dest="outdir", default=None,
+        p.add_argument("--outdir", dest="outdir",
                        help=f"output directory (default: ${OUTDIR_ENV} or .)")
+        p.set_defaults(func=func)
+        return p
 
-    p_sim = sub.add_parser("simulate",
-                           help="CC-discharge one pair; write trace CSV")
-    common(p_sim)
+    p_sim = command("simulate", cmd_simulate,
+                    "CC-discharge one pair; write trace CSV")
     _add_keys(p_sim, _keys(PairSpec, SimConfig))
-    p_sim.add_argument("--out", dest="out", default=None,
+    p_sim.add_argument("--out", dest="out",
                        help="output base name (default: trace)")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_feat = sub.add_parser("features",
-                            help="extract peak features from a trace CSV")
-    common(p_feat)
+    p_feat = command("features", cmd_features,
+                     "extract peak features from a trace CSV")
     p_feat.add_argument("trace", help="trace CSV (t_s,i_total_A,vt_V needed)")
     _add_keys(p_feat, _keys(AnalysisConfig))
-    p_feat.add_argument("--out", dest="out", default=None,
+    p_feat.add_argument("--out", dest="out",
                         help="output file name, or - for stdout (default)")
-    p_feat.set_defaults(func=cmd_features)
 
-    p_sweep = sub.add_parser("sweep",
-                             help="sweep the (alpha, beta) grid and bin by "
-                                  "product")
-    common(p_sweep)
+    p_sweep = command("sweep", cmd_sweep,
+                      "sweep the (alpha, beta) grid and bin by product")
     # the grid takes the place of a single pair's ratios
     _add_keys(p_sweep, [key for key in _keys(*_CONFIGS)
                         if key not in ("alpha", "beta")])
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_id = sub.add_parser("identify",
-                          help="estimate the imbalance product from features")
-    common(p_id)
+    p_id = command("identify", cmd_identify,
+                   "estimate the imbalance product from features")
     p_id.add_argument("features", help="features JSON file")
     p_id.add_argument("curve", help="product-curve CSV from a sweep")
     _add_keys(p_id, ("skew_resolution",))
-    p_id.add_argument("--out", dest="out", default=None,
+    p_id.add_argument("--out", dest="out",
                       help="output file name, or - for stdout (default)")
-    p_id.set_defaults(func=cmd_identify)
     return parser
 
 

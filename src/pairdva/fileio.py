@@ -56,11 +56,16 @@ def write_json(obj, path):
     Path(path).write_text(dumps_json(obj))
 
 
+def provenance() -> dict:
+    """The package version and the kernel backend that made an output."""
+    return {"pairdva": __version__, "backend": backend()}
+
+
 def sidecar(kind: str, run_config: dict, **fields) -> dict:
-    """Sidecar document: the output kind, the package version and backend
-    that made it, the given fields (dataclasses stored field by field) and
-    the resolved run configuration."""
-    doc = {"kind": kind, "pairdva": __version__, "backend": backend()}
+    """Sidecar document: the output kind, its provenance, the given fields
+    (dataclasses stored field by field) and the resolved run
+    configuration."""
+    doc = {"kind": kind, **provenance()}
     for key, value in fields.items():
         doc[key] = (dataclasses.asdict(value)
                     if dataclasses.is_dataclass(value) else value)
@@ -113,6 +118,13 @@ def read_trace_csv(path) -> SimTrace:
         raise FormatError(f"non-numeric cell in {path}: {err}") from err
     if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
         raise FormatError(f"{path} has no usable data rows")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, c = np.argwhere(~finite)[0]
+        line_no = [no for no, ln in enumerate(text.splitlines(), 1)
+                   if ln.strip()][row + 1]
+        raise FormatError(f"{path} line {line_no}: column {header[c]} holds "
+                          f"the non-finite value {data[row, c]:g}")
     col = {name: data[:, i] for i, name in enumerate(header)}
 
     t = col["t_s"]
@@ -141,6 +153,7 @@ def read_trace_csv(path) -> SimTrace:
 def features_dict(features: PeakFeatures) -> dict:
     fit = features.fit
     return {
+        **provenance(),
         "height_V_per_Ah": features.height,
         "q_at_peak_Ah": features.q_at_peak,
         "v_at_peak_V": features.v_at_peak,
@@ -150,6 +163,8 @@ def features_dict(features: PeakFeatures) -> dict:
             "d": fit.d, "e": fit.e, "f": fit.f,
             "residual_rms_V": fit.residual_rms,
             "converged": fit.converged,
+            "n_iter": fit.n_iter,
+            "scaled_gradient": fit.scaled_gradient,
         },
         "window_V": [features.window[0], features.window[1]],
     }
@@ -172,7 +187,11 @@ def read_features_json(path) -> PeakFeatures:
                 a=float(fit["a"]), b=float(fit["b"]), c=float(fit["c"]),
                 d=float(fit["d"]), e=float(fit["e"]), f=float(fit["f"]),
                 residual_rms=float(fit["residual_rms_V"]),
-                converged=bool(fit["converged"])),
+                converged=bool(fit["converged"]),
+                # diagnostics that older features files do not carry
+                **{key: cast(fit[key]) for key, cast in
+                   (("n_iter", int), ("scaled_gradient", float))
+                   if key in fit}),
             window=tuple(doc["window_V"]))
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(
@@ -242,6 +261,7 @@ def read_product_curve_csv(path) -> ProductCurve:
 def identification_dict(result: IdentificationResult,
                         run_config: dict = None) -> dict:
     doc = {
+        **provenance(),
         "p_hat": result.p_hat,
         "ambiguous": result.ambiguous,
         "candidates": [

@@ -1,4 +1,4 @@
-"""Numerical kernels: electrode potentials, current split, RK4 discharge loops.
+"""Numerical kernels: electrode potentials, pair state, the RK4 discharge loop.
 
 Everything here is written once in plain numpy-compatible form. At import
 time the whole set is rebound to numba-compiled versions unless the
@@ -88,31 +88,23 @@ def docv_dz(z):
 
 # --- pair algebra ---------------------------------------------------------
 
-def split_currents(z1, z2, r1, r2, i_total):
+def pair_state(z1, z2, r1, r2, i_total):
     # KCL-consistent split: i1 + i2 == i_total and both cells see the same
-    # terminal voltage ocv(z) + i*r
-    delta = ocv(z2) - ocv(z1)
+    # terminal voltage v_t == ocv(z) + i*r; each OCV is evaluated once
+    u1, u2 = ocv(z1), ocv(z2)
     r_tot = r1 + r2
+    delta = u2 - u1
     i1 = (delta + r2 * i_total) / r_tot
     i2 = (-delta + r1 * i_total) / r_tot
-    return i1, i2
+    v_t = (r1 * u2 + r2 * u1) / r_tot + r1 * r2 * i_total / r_tot
+    return i1, i2, v_t
 
 
-def pair_terminal_voltage(z1, z2, r1, r2, i_total):
-    r_tot = r1 + r2
-    return (r1 * ocv(z2) + r2 * ocv(z1)) / r_tot + r1 * r2 * i_total / r_tot
-
-
-def pair_derivs(z1, z2, c1_as, c2_as, r1, r2, i_total):
-    i1, i2 = split_currents(z1, z2, r1, r2, i_total)
-    return i1 / c1_as, i2 / c2_as
-
-
-# --- discharge integration loops -------------------------------------------
-# Fixed-step RK4 with the algebraic current split evaluated at every stage.
-# One sample is recorded per step at the pre-step state; termination is
-# checked on the recorded sample in the order: cutoff voltage, SOC floor,
-# time limit (reasons 1/2/3). Reason 4 flags an SOC excursion beyond
+# --- discharge integration loop --------------------------------------------
+# Fixed-step RK4 with the algebraic current split evaluated at every stage;
+# the recorded pre-step sample doubles as stage k1. Termination is checked
+# on the recorded sample in the order: cutoff voltage, SOC floor, time
+# limit (reasons 1/2/3). Reason 4 flags an SOC excursion beyond
 # [-1e-9, 1 + 1e-9] after a step and is turned into an error by the caller.
 
 def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
@@ -127,8 +119,7 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     reason = 0
     k = 0
     while k < n_max:
-        c1, c2 = split_currents(a, b, r1, r2, i_total)
-        v = pair_terminal_voltage(a, b, r1, r2, i_total)
+        c1, c2, v = pair_state(a, b, r1, r2, i_total)
         z1[k] = a
         z2[k] = b
         i1[k] = c1
@@ -143,13 +134,15 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         if k * dt >= t_max:
             reason = 3
             break
-        k1a, k1b = pair_derivs(a, b, c1_as, c2_as, r1, r2, i_total)
-        k2a, k2b = pair_derivs(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b,
-                               c1_as, c2_as, r1, r2, i_total)
-        k3a, k3b = pair_derivs(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b,
-                               c1_as, c2_as, r1, r2, i_total)
-        k4a, k4b = pair_derivs(a + dt * k3a, b + dt * k3b,
-                               c1_as, c2_as, r1, r2, i_total)
+        k1a, k1b = c1 / c1_as, c2 / c2_as
+        c1, c2, _ = pair_state(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b,
+                               r1, r2, i_total)
+        k2a, k2b = c1 / c1_as, c2 / c2_as
+        c1, c2, _ = pair_state(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b,
+                               r1, r2, i_total)
+        k3a, k3b = c1 / c1_as, c2 / c2_as
+        c1, c2, _ = pair_state(a + dt * k3a, b + dt * k3b, r1, r2, i_total)
+        k4a, k4b = c1 / c1_as, c2 / c2_as
         a = a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         b = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         k += 1
@@ -161,37 +154,6 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     return z1[:n], z2[:n], i1[:n], i2[:n], vt[:n], n, reason
 
 
-def single_rk4(z0, c_as, r, i_total, dt, n_max, v_cutoff, soc_floor, t_max):
-    z = np.empty(n_max)
-    vt = np.empty(n_max)
-    a = z0
-    reason = 0
-    k = 0
-    while k < n_max:
-        z[k] = a
-        v = ocv(a) + i_total * r
-        vt[k] = v
-        if v <= v_cutoff:
-            reason = 1
-            break
-        if a <= soc_floor:
-            reason = 2
-            break
-        if k * dt >= t_max:
-            reason = 3
-            break
-        # constant-current single cell: all four RK4 stages coincide
-        k1 = i_total / c_as
-        a = a + (dt / 6.0) * (k1 + 2.0 * k1 + 2.0 * k1 + k1)
-        k += 1
-        if not (-1e-9 <= a <= 1.0 + 1e-9):
-            reason = 4
-            k -= 1
-            break
-    n = k + 1
-    return z[:n], vt[:n], n, reason
-
-
 if NUMBA_ENABLED:
     _jit = _njit(cache=True, nogil=True)
     u_pos = _jit(u_pos)
@@ -200,8 +162,5 @@ if NUMBA_ENABLED:
     du_pos_dz = _jit(du_pos_dz)
     du_neg_dz = _jit(du_neg_dz)
     docv_dz = _jit(docv_dz)
-    split_currents = _jit(split_currents)
-    pair_terminal_voltage = _jit(pair_terminal_voltage)
-    pair_derivs = _jit(pair_derivs)
+    pair_state = _jit(pair_state)
     pair_rk4 = _jit(pair_rk4)
-    single_rk4 = _jit(single_rk4)

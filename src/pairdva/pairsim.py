@@ -160,15 +160,16 @@ def current_split(z1, z2, params: PairParams, i_total):
     Returns (i1, i2) with i1 + i2 == i_total; both cells see the same
     terminal voltage under this split.
     """
-    return kernels.split_currents(
-        _checked(z1), _checked(z2),
-        params.cell1.resistance_ohm, params.cell2.resistance_ohm,
-        float(i_total))
+    return _pair_state(z1, z2, params, i_total)[:2]
 
 
 def terminal_voltage(z1, z2, params: PairParams, i_total):
     """Pair terminal voltage at the given SOCs and total current."""
-    return kernels.pair_terminal_voltage(
+    return _pair_state(z1, z2, params, i_total)[2]
+
+
+def _pair_state(z1, z2, params: PairParams, i_total):
+    return kernels.pair_state(
         _checked(z1), _checked(z2),
         params.cell1.resistance_ohm, params.cell2.resistance_ohm,
         float(i_total))
@@ -176,6 +177,14 @@ def terminal_voltage(z1, z2, params: PairParams, i_total):
 
 def _n_max(config: SimConfig) -> int:
     return int(np.floor(config.t_max / config.dt)) + 2
+
+
+def _reason(code) -> str:
+    """Name of a termination code; an SOC excursion (code 4) raises."""
+    if code == 4:
+        raise IntegrationError(
+            "SOC left [-1e-9, 1+1e-9] during integration; reduce dt")
+    return _REASONS.get(int(code), "n_max")
 
 
 def simulate_cc_discharge(params: PairParams,
@@ -198,9 +207,7 @@ def simulate_cc_discharge(params: PairParams,
         c1.resistance_ohm, c2.resistance_ohm, i_total,
         config.dt, _n_max(config), config.v_cutoff, config.soc_floor,
         config.t_max)
-    if reason == 4:
-        raise IntegrationError(
-            "SOC left [-1e-9, 1+1e-9] during integration; reduce dt")
+    reason = _reason(reason)
     t = np.arange(n) * config.dt
     q_pair = np.abs(i_total) * t / SECONDS_PER_HOUR
     q1 = c1.capacity_ah * (config.z0 - z1)
@@ -209,8 +216,8 @@ def simulate_cc_discharge(params: PairParams,
     return SimTrace(
         t=t, i_total=np.full(n, i_total), i1=i1, i2=i2, z1=z1, z2=z2,
         q_pair=q_pair, q1=q1, q2=q2, v_t=vt,
-        reason=_REASONS.get(reason, "n_max"), params=params, config=config,
-        has_cell2=True, current_reversal=reversal)
+        reason=reason, params=params, config=config, has_cell2=True,
+        current_reversal=reversal)
 
 
 def single_cell_reference(capacity_ah: float, resistance_ohm: float,
@@ -225,19 +232,32 @@ def single_cell_reference(capacity_ah: float, resistance_ohm: float,
     i_total = -config.c_rate * capacity_ah
     if i_total == 0.0:
         raise ConfigError("discharge current is zero")
-    z, vt, n, reason = kernels.single_rk4(
-        config.z0, capacity_ah * SECONDS_PER_HOUR, resistance_ohm, i_total,
-        config.dt, _n_max(config), config.v_cutoff, config.soc_floor,
-        config.t_max)
-    if reason == 4:
-        raise IntegrationError(
-            "SOC left [-1e-9, 1+1e-9] during integration; reduce dt")
-    t = np.arange(n) * config.dt
+    # constant current: all four RK4 stages coincide, so every step adds one
+    # increment; accumulated in step order, SOC matches a stepping loop's
+    k1 = i_total / (capacity_ah * SECONDS_PER_HOUR)
+    steps = np.full(_n_max(config),
+                    (config.dt / 6.0) * (k1 + 2.0 * k1 + 2.0 * k1 + k1))
+    steps[0] = config.z0
+    z = np.add.accumulate(steps)
+    t = np.arange(len(z)) * config.dt
+    # SOC only falls, so no sample past the first one on the SOC floor or
+    # the time limit is recorded, nor its OCV evaluated
+    ends = np.flatnonzero((z <= config.soc_floor) | (t >= config.t_max))
+    n = ends[0] + 1 if ends.size else len(z)
+    z, t = z[:n], t[:n]
+    vt = kernels.ocv(z) + i_total * resistance_ohm
+    # codes in the loop's check order; an SOC excursion (falling below
+    # -1e-9) is caught on the step into a sample, before it is checked
+    codes = np.select([z < -1e-9, vt <= config.v_cutoff,
+                       z <= config.soc_floor, t >= config.t_max], [4, 1, 2, 3])
+    n = np.flatnonzero(codes).min(initial=n - 1) + 1
+    reason = _reason(codes[n - 1])
+    z, t, vt = z[:n], t[:n], vt[:n]
     cur = np.full(n, i_total)
     q = np.abs(i_total) * t / SECONDS_PER_HOUR
     zeros = np.zeros(n)
     return SimTrace(
         t=t, i_total=cur, i1=cur.copy(), i2=zeros, z1=z, z2=zeros.copy(),
         q_pair=q, q1=capacity_ah * (config.z0 - z), q2=zeros.copy(), v_t=vt,
-        reason=_REASONS.get(reason, "n_max"), params=cell, config=config,
+        reason=reason, params=cell, config=config,
         has_cell2=False, current_reversal=bool(np.any(cur > 0.0)))

@@ -75,6 +75,12 @@ def resample_uniform_q(trace, dq: float, source: str = "pair"):
     q_raw, v_raw = _source_columns(trace, source)
     if len(q_raw) < 2:
         raise SpanError("trace too short to resample")
+    for name, col in (("charge", q_raw), ("voltage", v_raw)):
+        finite = np.isfinite(col)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise FormatError(f"{name} column for source {source!r} holds "
+                              f"the non-finite value {col[k]:g} at sample {k}")
     if np.any(np.diff(q_raw) <= 0.0):
         raise FormatError(f"charge column for source {source!r} is not "
                           "strictly increasing")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pairdva
-from pairdva import cli
+from pairdva import cli, fileio
 from pairdva.fileio import (FEATUREMAP_HEADER, PRODUCT_CURVE_HEADER,
                             TRACE_HEADER)
 
@@ -123,6 +123,18 @@ def test_numpy_backend_writes_identical_csv(workdir, sim_dir):
                        shallow=False), compared
 
 
+def test_features_json_round_trips_fit_diagnostics(baseline_features,
+                                                  tmp_path):
+    path = tmp_path / "features.json"
+    fileio.write_json(fileio.features_dict(baseline_features), path)
+    fit = fileio.read_features_json(path).fit
+    assert fit.n_iter == baseline_features.fit.n_iter
+    assert fit.scaled_gradient == pytest.approx(
+        baseline_features.fit.scaled_gradient, rel=1e-11)
+    # a file written before the diagnostics were recorded still reads
+    assert fileio.read_features_json(GOLDEN).fit.n_iter == 0
+
+
 def test_invalid_ratio_exits_with_config_error(workdir):
     proc = run_cli(["simulate", "--alpha", "1.5"], cwd=workdir)
     assert proc.returncode == 2
@@ -185,6 +197,34 @@ def test_flags_override_config_file(workdir, sim_dir):
     assert restored.stdout == base.stdout
 
 
+def test_explicit_none_overrides_config_file(workdir):
+    cfg = workdir / "tmax100.cfg"
+    cfg.write_text("t_max_s = 100\n")
+    out = workdir / "sim_tmax_none"
+    proc = run_cli(["simulate", "--config", str(cfg), "--t-max-s", "none",
+                    "--outdir", str(out)], cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    side = json.loads((out / "trace.json").read_text())
+    assert side["run_config"]["t_max_s"] is None
+    assert side["sim_config"]["t_max"] == 54000.0
+    assert side["termination_reason"] != "t_max"
+
+
+def test_non_finite_trace_value_rejected(workdir, sim_dir):
+    lines = (sim_dir / "trace.csv").read_text().splitlines()
+    row = lines[5000].split(",")
+    row[-1] = "nan"                  # vt_V, file line 5001
+    lines[5000] = ",".join(row)
+    bad = workdir / "nan_vt.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli(["features", str(bad)], cwd=workdir)
+    assert proc.returncode == 2
+    doc = stderr_json(proc)
+    assert doc["error"] == "FormatError"
+    assert doc["stage"] == "io"
+    assert "vt_V" in doc["message"] and "line 5001" in doc["message"]
+
+
 def test_outdir_env_and_sidecar(workdir, sim_dir):
     proc = run_cli(["features", str(sim_dir / "trace.csv"),
                     "--out", "feats.json"], cwd=workdir,
@@ -194,6 +234,10 @@ def test_outdir_env_and_sidecar(workdir, sim_dir):
     side = workdir / "envout" / "feats.config.json"
     assert out.exists() and side.exists()
     assert str(out) in proc.stdout
+    feats = json.loads(out.read_text())
+    assert_provenance(feats)
+    assert feats["fit"]["n_iter"] >= 1
+    assert feats["fit"]["scaled_gradient"] >= 0.0
     doc = json.loads(side.read_text())
     assert_provenance(doc)
     cfg = doc["run_config"]
@@ -239,6 +283,7 @@ def test_sweep_then_identify(workdir, sim_dir):
                      "--skew-resolution", "0.01"], cwd=workdir)
     assert ident.returncode == 0, ident.stderr
     doc = json.loads(ident.stdout)
+    assert_provenance(doc)
     assert doc["p_hat"] == pytest.approx(1.0, abs=1e-6)
     assert doc["ambiguous"] is True
     assert doc["inputs"]["curve"].endswith("product_curve.csv")

@@ -208,6 +208,25 @@ def test_kernel_flags_soc_excursion_when_charging():
     assert out[6] == 4
 
 
+@pytest.mark.skipif(kernels.NUMBA_ENABLED,
+                    reason="compiled kernels do not see a patched ocv")
+def test_pair_rk4_evaluates_ocv_eight_times_per_step(monkeypatch):
+    calls = []
+    plain = kernels.ocv
+
+    def counting(z):
+        calls.append(z)
+        return plain(z)
+
+    monkeypatch.setattr(kernels, "ocv", counting)
+    out = kernels.pair_rk4(1.0, 1.0, 3600.0 * 60.0, 3600.0 * 60.0,
+                           0.002, 0.002, -40.0, 1.0, 20, 3.0, 0.02, 10.0)
+    steps = out[5] - 1
+    assert (steps, out[6]) == (10, 3)
+    # two OCVs per stage, the recorded sample serving as stage 1
+    assert len(calls) == 8 * steps + 2
+
+
 def test_step_halving_converged():
     p = make_pair(0.7, 1.6)
     tr1 = simulate_cc_discharge(p, config=SimConfig(dt=1.0))
@@ -237,6 +256,52 @@ def test_single_cell_reference_matches_ohmic_model():
     assert np.all(tr.i2 == 0.0) and np.all(tr.z2 == 0.0)
     v = ocv(tr.z1) + 0.001 * tr.i1
     assert np.abs(v - tr.v_t).max() < 1e-12
+
+
+def _single_cell_loop(capacity_ah, resistance_ohm, cfg):
+    """Step-by-step RK4 of one CC cell: the reference for the accumulated
+    form in single_cell_reference."""
+    i_total = -cfg.c_rate * capacity_ah
+    k1 = i_total / (capacity_ah * 3600.0)
+    z, vt, a, k = [], [], cfg.z0, 0
+    while True:
+        v = float(ocv(a)) + i_total * resistance_ohm
+        z.append(a)
+        vt.append(v)
+        if v <= cfg.v_cutoff:
+            return z, vt, "v_cutoff"
+        if a <= cfg.soc_floor:
+            return z, vt, "soc_floor"
+        if k * cfg.dt >= cfg.t_max:
+            return z, vt, "t_max"
+        a = a + (cfg.dt / 6.0) * (k1 + 2.0 * k1 + 2.0 * k1 + k1)
+        k += 1
+
+
+@pytest.mark.parametrize("kw", [{}, {"dt": 0.5}, {"c_rate": 1.0},
+                                {"v_cutoff": 3.5}, {"t_max": 3000.0}])
+def test_single_cell_reference_matches_stepping_loop(kw):
+    cfg = SimConfig(**kw)
+    z, vt, reason = _single_cell_loop(120.0, 0.001, cfg)
+    tr = single_cell_reference(120.0, 0.001, cfg)
+    assert (len(tr), tr.reason) == (len(z), reason)
+    assert np.array_equal(tr.z1, z)
+    # array OCV may differ from the scalar one in the last bits
+    assert np.abs(tr.v_t - vt).max() < 1e-14
+
+
+def test_single_cell_termination_reasons():
+    tr = single_cell_reference(120.0, 0.001, SimConfig(t_max=3000.0))
+    assert (len(tr), tr.reason) == (3001, "t_max")
+    tr = single_cell_reference(120.0, 0.001, SimConfig(v_cutoff=3.5))
+    assert (len(tr), tr.reason) == (8611, "v_cutoff")
+    assert tr.v_t[-1] <= 3.5 < tr.v_t[-2]
+
+
+def test_single_cell_oversized_step_raises_integration_error():
+    cfg = SimConfig(c_rate=3.0, dt=700.0, soc_floor=0.0, t_max=7000.0)
+    with pytest.raises(IntegrationError):
+        single_cell_reference(120.0, 0.001, cfg)
 
 
 def test_parallel_pair_equals_lumped_single_cell(balanced_trace):

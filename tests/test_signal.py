@@ -48,6 +48,16 @@ def test_resample_rejects_flat_charge_column():
         resample_uniform_q(tr, dq=0.05)
 
 
+@pytest.mark.parametrize("column", ["q", "v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_resample_rejects_non_finite_samples(column, bad):
+    q = np.linspace(0.0, 10.0, 100)
+    v = np.linspace(4.0, 3.0, 100)
+    {"q": q, "v": v}[column][40] = bad
+    with pytest.raises(FormatError, match="sample 40"):
+        resample_uniform_q(synthetic_trace(q, v), dq=0.05)
+
+
 # --- derivative curve ---------------------------------------------------------
 
 def test_line_gives_constant_dvdq():
