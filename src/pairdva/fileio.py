@@ -91,6 +91,35 @@ def trace_sidecar(trace: SimTrace, run_config: dict) -> dict:
                    current_reversal=trace.current_reversal)
 
 
+def _numbered_rows(text):
+    """(file line number, line) of each data row: the nonblank lines after
+    the header."""
+    return [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
+            if ln.strip()][1:]
+
+
+def _malformed_row(path, text, header) -> FormatError:
+    """The error for the first data row with the wrong cell count or a cell
+    that is not a number, naming its file line (and column)."""
+    for no, ln in _numbered_rows(text):
+        cells = ln.split(",")
+        if len(cells) < len(header):
+            return FormatError(
+                f"{path} line {no}: column {header[len(cells)]} is missing "
+                f"({len(cells)} of {len(header)} cells)")
+        if len(cells) > len(header):
+            return FormatError(
+                f"{path} line {no}: {len(cells)} cells, past the last "
+                f"column {header[-1]} of the {len(header)}-column header")
+        for name, cell in zip(header, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return FormatError(f"{path} line {no}: column {name} holds "
+                                   f"the non-numeric value {cell.strip()!r}")
+    return FormatError(f"{path} has malformed data rows")
+
+
 def read_trace_csv(path) -> SimTrace:
     """Read a trace CSV; only t_s, i_total_A, vt_V are required.
 
@@ -114,15 +143,16 @@ def read_trace_csv(path) -> SimTrace:
         raise FormatError(f"trace file missing required columns: {missing}")
     try:
         data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    except ValueError as err:
-        raise FormatError(f"non-numeric cell in {path}: {err}") from err
-    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+    except ValueError:
+        data = None
+    if data is None or (data.ndim == 2 and data.shape[1] != len(header)):
+        raise _malformed_row(path, text, header)
+    if data.ndim != 2 or data.shape[0] < 2:
         raise FormatError(f"{path} has no usable data rows")
     finite = np.isfinite(data)
     if not finite.all():
         row, c = np.argwhere(~finite)[0]
-        line_no = [no for no, ln in enumerate(text.splitlines(), 1)
-                   if ln.strip()][row + 1]
+        line_no = _numbered_rows(text)[row][0]
         raise FormatError(f"{path} line {line_no}: column {header[c]} holds "
                           f"the non-finite value {data[row, c]:g}")
     col = {name: data[:, i] for i, name in enumerate(header)}
@@ -221,7 +251,11 @@ def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
                    c_total_ah=fmap.c_total, r_parallel_ohm=fmap.r_parallel,
                    sim_config=fmap.sim_config, smoothing=fmap.smoothing,
                    n_ok=sum(1 for c in fmap.cells if c.ok),
-                   n_cells=len(fmap.cells))
+                   n_cells=len(fmap.cells),
+                   failures=[{"alpha": c.alpha, "beta": c.beta,
+                              "status": c.status, "stage": c.stage,
+                              "message": c.message}
+                             for c in fmap.cells if not c.ok])
 
 
 def write_product_curve_csv(curve: ProductCurve, path):

@@ -1,13 +1,17 @@
 """Numerical kernels: electrode potentials, pair state, the RK4 discharge loop.
 
-Everything here is written once in plain numpy-compatible form. At import
-time the whole set is rebound to numba-compiled versions unless the
-environment variable PAIRDVA_NUMBA is set to 0/false/no/off (or numba is
-missing), in which case the pure-python definitions run as-is. The compiled
-dispatchers accept scalars and arrays alike, so callers never need to know
-which backend is active.
+Everything here is written once in plain numpy-compatible form. The
+electrode potentials take their exp and tanh as parameters and are bound
+twice: to numpy's ufuncs for arrays and to the math module for the Python
+floats of the integration loop, where ufunc dispatch would cost more than
+the arithmetic. At import time the numpy-bound set is rebound to
+numba-compiled versions unless the environment variable PAIRDVA_NUMBA is set
+to 0/false/no/off (or numba is missing), in which case the pure-python
+definitions run as-is. The compiled dispatchers accept scalars and arrays
+alike, so callers never need to know which backend is active.
 """
 
+import math
 import os
 
 import numpy as np
@@ -39,47 +43,80 @@ def backend():
 # the full-cell curve near z=0; the six tanh steps in u_neg are the graphite
 # staging transitions that produce the dV/dQ peaks.
 
-def u_pos(z):
-    return (3.6674 - 0.0225 * z + 0.5619 * z**2 + 0.6329 * z**3
-            - 0.1957 * z**4 + 0.1016 * z**5
-            - 0.5623 * np.exp(95.102 * (1.0 - z) - 97.036))
+POS_POLY = (3.6674, -0.0225, 0.5619, 0.6329, -0.1957, 0.1016)  # z^0..z^5
+POS_EXP = (0.5623, 95.102, 97.036)          # amplitude, rate, offset
+NEG_BASE = 0.063
+NEG_EXP = (0.8, 75.0, 0.83, 0.007)          # amplitude, rate, slope, offset
+# (height, centre, width) of each tanh step
+NEG_STEPS = ((0.012, 0.15, 0.019), (0.012, 0.19, 0.019),
+             (0.004, 0.27, 0.024), (0.009, 0.23, 0.016),
+             (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066))
 
 
-def u_neg(z):
-    return (0.063 + 0.8 * np.exp(-75.0 * (0.83 * z + 0.007))
-            - 0.012 * np.tanh((z - 0.15) / 0.019)
-            - 0.012 * np.tanh((z - 0.19) / 0.019)
-            - 0.004 * np.tanh((z - 0.27) / 0.024)
-            - 0.009 * np.tanh((z - 0.23) / 0.016)
-            - 0.0145 * np.tanh((z - 0.59) / 0.024)
-            - 0.080 * np.tanh((z - 1.24) / 0.066))
+def _electrodes(exp, tanh):
+    """u_pos, u_neg and their z-derivatives over one (exp, tanh) pair:
+    numpy's ufuncs for arrays, the math module's functions for floats."""
+    p0, p1, p2, p3, p4, p5 = POS_POLY
+    pa, pk, pb = POS_EXP
+    n0 = NEG_BASE
+    na, nk, ns, nb = NEG_EXP
+    ((h1, m1, w1), (h2, m2, w2), (h3, m3, w3),
+     (h4, m4, w4), (h5, m5, w5), (h6, m6, w6)) = NEG_STEPS
+
+    def u_pos(z):
+        return (p0 + p1 * z + p2 * z**2 + p3 * z**3 + p4 * z**4 + p5 * z**5
+                - pa * exp(pk * (1.0 - z) - pb))
+
+    def u_neg(z):
+        return (n0 + na * exp(-nk * (ns * z + nb))
+                - h1 * tanh((z - m1) / w1)
+                - h2 * tanh((z - m2) / w2)
+                - h3 * tanh((z - m3) / w3)
+                - h4 * tanh((z - m4) / w4)
+                - h5 * tanh((z - m5) / w5)
+                - h6 * tanh((z - m6) / w6))
+
+    def du_pos_dz(z):
+        return (p1 + 2.0 * p2 * z + 3.0 * p3 * z**2 + 4.0 * p4 * z**3
+                + 5.0 * p5 * z**4
+                + pa * pk * exp(pk * (1.0 - z) - pb))
+
+    def du_neg_dz(z):
+        # sech^2 written as 1 - tanh^2 so large arguments cannot overflow
+        t1 = tanh((z - m1) / w1)
+        t2 = tanh((z - m2) / w2)
+        t3 = tanh((z - m3) / w3)
+        t4 = tanh((z - m4) / w4)
+        t5 = tanh((z - m5) / w5)
+        t6 = tanh((z - m6) / w6)
+        return (-na * nk * ns * exp(-nk * (ns * z + nb))
+                - (h1 / w1) * (1.0 - t1 * t1)
+                - (h2 / w2) * (1.0 - t2 * t2)
+                - (h3 / w3) * (1.0 - t3 * t3)
+                - (h4 / w4) * (1.0 - t4 * t4)
+                - (h5 / w5) * (1.0 - t5 * t5)
+                - (h6 / w6) * (1.0 - t6 * t6))
+
+    return u_pos, u_neg, du_pos_dz, du_neg_dz
 
 
-def ocv(z):
+u_pos, u_neg, du_pos_dz, du_neg_dz = _electrodes(np.exp, np.tanh)
+_u_pos_float, _u_neg_float, _, _ = _electrodes(math.exp, math.tanh)
+
+
+def ocv_array(z):
+    """Full-cell OCV over the numpy binding: for arrays, and for a scalar
+    that must match an array evaluation bit for bit."""
     return u_pos(z) - u_neg(z)
 
 
-def du_pos_dz(z):
-    return (-0.0225 + 1.1238 * z + 1.8987 * z**2 - 0.7828 * z**3
-            + 0.508 * z**4
-            + 0.5623 * 95.102 * np.exp(95.102 * (1.0 - z) - 97.036))
-
-
-def du_neg_dz(z):
-    # sech^2 written as 1 - tanh^2 so large arguments cannot overflow
-    t1 = np.tanh((z - 0.15) / 0.019)
-    t2 = np.tanh((z - 0.19) / 0.019)
-    t3 = np.tanh((z - 0.27) / 0.024)
-    t4 = np.tanh((z - 0.23) / 0.016)
-    t5 = np.tanh((z - 0.59) / 0.024)
-    t6 = np.tanh((z - 1.24) / 0.066)
-    return (-0.8 * 75.0 * 0.83 * np.exp(-75.0 * (0.83 * z + 0.007))
-            - (0.012 / 0.019) * (1.0 - t1 * t1)
-            - (0.012 / 0.019) * (1.0 - t2 * t2)
-            - (0.004 / 0.024) * (1.0 - t3 * t3)
-            - (0.009 / 0.016) * (1.0 - t4 * t4)
-            - (0.0145 / 0.024) * (1.0 - t5 * t5)
-            - (0.080 / 0.066) * (1.0 - t6 * t6))
+def ocv(z):
+    # a float goes through math: on one value numpy's ufunc dispatch costs
+    # more than the arithmetic, and its float64 result would carry
+    # numpy-scalar arithmetic into the caller
+    if isinstance(z, float):
+        return _u_pos_float(z) - _u_neg_float(z)
+    return ocv_array(z)
 
 
 def docv_dz(z):
@@ -109,13 +146,19 @@ def pair_state(z1, z2, r1, r2, i_total):
 
 def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
              dt, n_max, v_cutoff, soc_floor, t_max):
+    # plain floats keep every step on float arithmetic; a numpy scalar
+    # argument would carry numpy-scalar arithmetic through the loop
+    c1_as, c2_as = float(c1_as), float(c2_as)
+    r1, r2, i_total, dt = float(r1), float(r2), float(i_total), float(dt)
+    v_cutoff, soc_floor = float(v_cutoff), float(soc_floor)
+    t_max = float(t_max)
     z1 = np.empty(n_max)
     z2 = np.empty(n_max)
     i1 = np.empty(n_max)
     i2 = np.empty(n_max)
     vt = np.empty(n_max)
-    a = z1_0
-    b = z2_0
+    a = float(z1_0)
+    b = float(z2_0)
     reason = 0
     k = 0
     while k < n_max:
@@ -158,7 +201,8 @@ if NUMBA_ENABLED:
     _jit = _njit(cache=True, nogil=True)
     u_pos = _jit(u_pos)
     u_neg = _jit(u_neg)
-    ocv = _jit(ocv)
+    ocv_array = _jit(ocv_array)
+    ocv = ocv_array
     du_pos_dz = _jit(du_pos_dz)
     du_neg_dz = _jit(du_neg_dz)
     docv_dz = _jit(docv_dz)

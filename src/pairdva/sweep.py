@@ -47,10 +47,15 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One grid cell. A failed cell keeps its error's class name as status,
+    and the error's pipeline stage and message."""
+
     alpha: float
     beta: float
     features: PeakFeatures = None
     status: str = "ok"
+    stage: str = None
+    message: str = None
 
     @property
     def product(self) -> float:
@@ -148,7 +153,8 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
             return SweepCell(alpha=a, beta=b, features=feats, status="ok")
         except PairDvaError as err:
             return SweepCell(alpha=a, beta=b, features=None,
-                             status=type(err).__name__)
+                             status=type(err).__name__, stage=err.stage,
+                             message=str(err))
 
     if workers == 1:
         cells = [one(ab) for ab in pairs]

@@ -225,6 +225,22 @@ def test_non_finite_trace_value_rejected(workdir, sim_dir):
     assert "vt_V" in doc["message"] and "line 5001" in doc["message"]
 
 
+@pytest.mark.parametrize("name,row,where", [
+    ("short_row", "1,-40", ["line 3", "vt_V"]),
+    ("word_cell", "1,-40,abc", ["line 3", "vt_V", "'abc'"]),
+])
+def test_malformed_trace_row_rejected(workdir, name, row, where):
+    bad = workdir / f"{name}.csv"
+    bad.write_text(f"t_s,i_total_A,vt_V\n0,-40,4.1\n{row}\n2,-40,4.0\n")
+    proc = run_cli(["features", str(bad)], cwd=workdir)
+    assert proc.returncode == 2
+    doc = stderr_json(proc)
+    assert doc["error"] == "FormatError"
+    assert doc["stage"] == "io"
+    for part in where:
+        assert part in doc["message"]
+
+
 def test_outdir_env_and_sidecar(workdir, sim_dir):
     proc = run_cli(["features", str(sim_dir / "trace.csv"),
                     "--out", "feats.json"], cwd=workdir,

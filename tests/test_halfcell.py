@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pairdva import DomainError, docv_dz, ocv, u_neg, u_pos
+from pairdva import DomainError, docv_dz, kernels, ocv, u_neg, u_pos
 
 
 def u_pos_reference(z):
@@ -90,6 +90,19 @@ def test_scalar_and_array_paths_agree():
     arr = ocv(z)
     for i, zi in enumerate(z):
         assert ocv(float(zi)) == arr[i]
+
+
+def test_float_and_array_bindings_agree():
+    # the integration loop evaluates OCV on floats through the math module;
+    # numpy's vectorised tanh sits up to 2 ulp from math.tanh
+    centres = [centre for _, centre, _ in kernels.NEG_STEPS]
+    z = np.unique(np.concatenate([np.linspace(0.0, 1.0, 20001), centres]))
+    for on_float, on_array in ((kernels.ocv, kernels.ocv_array),
+                               (kernels._u_pos_float, kernels.u_pos),
+                               (kernels._u_neg_float, kernels.u_neg)):
+        want = on_array(z)
+        got = np.array([on_float(float(zi)) for zi in z])
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
 
 
 def test_deterministic():

@@ -227,6 +227,34 @@ def test_pair_rk4_evaluates_ocv_eight_times_per_step(monkeypatch):
     assert len(calls) == 8 * steps + 2
 
 
+def test_numpy_scalar_ratios_give_identical_trace():
+    plain = simulate_cc_discharge(make_pair(0.7, 1.6))
+    boxed = simulate_cc_discharge(make_pair(np.float64(0.7), np.float64(1.6)))
+    assert boxed.reason == plain.reason
+    for name in ("t", "i_total", "i1", "i2", "z1", "z2", "q_pair", "q1",
+                 "q2", "v_t"):
+        assert np.array_equal(getattr(boxed, name), getattr(plain, name))
+
+
+@pytest.mark.skipif(kernels.NUMBA_ENABLED,
+                    reason="compiled kernels do not see a patched ocv")
+def test_pair_rk4_steps_on_python_floats(monkeypatch):
+    seen = set()
+    plain = kernels.ocv
+
+    def recording(z):
+        seen.add(type(z))
+        return plain(z)
+
+    monkeypatch.setattr(kernels, "ocv", recording)
+    head = map(np.float64, (1.0, 1.0, 3600.0 * 60.0, 3600.0 * 60.0,
+                            0.002, 0.002, -40.0, 1.0))
+    tail = map(np.float64, (3.0, 0.02, 10.0))
+    out = kernels.pair_rk4(*head, 20, *tail)
+    assert out[6] == 3
+    assert seen == {float}
+
+
 def test_step_halving_converged():
     p = make_pair(0.7, 1.6)
     tr1 = simulate_cc_discharge(p, config=SimConfig(dt=1.0))

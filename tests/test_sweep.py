@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from pairdva import (GridConfig, IdentifyError, SimConfig, extract_features,
-                     identify_product, make_pair, product_curve, run_sweep,
-                     simulate_cc_discharge)
+from pairdva import (FeatureError, GridConfig, IdentifyError, SimConfig,
+                     extract_features, fileio, identify_product, make_pair,
+                     product_curve, run_sweep, simulate_cc_discharge, sweep)
 
 
 def test_default_grids():
@@ -35,6 +35,28 @@ def test_sweep_records_failures_instead_of_raising():
     assert cell.features is None
     with pytest.raises(Exception):
         product_curve(fmap)           # no successful cells to bin
+
+
+def test_failed_cell_keeps_stage_and_message(monkeypatch, tmp_path):
+    def fail_weak_cell(trace, analysis):
+        if trace.params.alpha < 1.0:
+            raise FeatureError("forced failure")
+        return extract_features(trace, analysis)
+
+    monkeypatch.setattr(sweep, "extract_features", fail_weak_cell)
+    fmap = run_sweep(alpha_grid=[0.9, 1.0], beta_grid=[1.0])
+    bad, good = fmap.cells
+    assert (bad.status, bad.stage, bad.message) == (
+        "FeatureError", "skewness_pipeline", "forced failure")
+    assert good.ok and good.stage is None and good.message is None
+    side = fileio.sweep_sidecar(fmap, run_config={})
+    assert side["failures"] == [
+        {"alpha": 0.9, "beta": 1.0, "status": "FeatureError",
+         "stage": "skewness_pipeline", "message": "forced failure"}]
+    fileio.write_featuremap_csv(fmap, tmp_path / "featuremap.csv")
+    rows = (tmp_path / "featuremap.csv").read_text().splitlines()
+    assert rows[1] == "0.9,1,0.9,nan,nan,FeatureError"
+    assert rows[2].endswith(",ok")
 
 
 def test_cell_lookup(default_sweep):
