@@ -8,7 +8,7 @@ from .errors import (ConfigError, DomainError, EmptyWindowError, FeatureError,
                      FitWarning, FormatError, IdentifyError, IntegrationError,
                      NoPeakError, PairDvaError, SpanError, SweepError)
 from .halfcell import docv_dz, ocv, u_neg, u_pos
-from .kernels import NUMBA_ENABLED, backend
+from .kernels import backend
 from .pairsim import (CellParams, PairParams, PairSpec, SimConfig, SimTrace,
                       current_split, make_pair, simulate_cc_discharge,
                       single_cell_reference, terminal_voltage)
@@ -29,7 +29,7 @@ __all__ = [
     "FitWarning", "FormatError", "IdentifyError", "IntegrationError",
     "NoPeakError", "PairDvaError", "SpanError", "SweepError",
     "docv_dz", "ocv", "u_neg", "u_pos",
-    "NUMBA_ENABLED", "backend",
+    "backend",
     "CellParams", "PairParams", "PairSpec", "SimConfig", "SimTrace",
     "current_split", "make_pair", "simulate_cc_discharge",
     "single_cell_reference", "terminal_voltage",

@@ -7,6 +7,7 @@ configuration so any output can regenerate its run.
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ PRODUCT_CURVE_HEADER = ("product,mean_height,mean_skewness,spread_height,"
 
 _TRACE_COLUMNS = TRACE_HEADER.split(",")
 _REQUIRED_COLUMNS = ("t_s", "i_total_A", "vt_V")
+_PRODUCT_CURVE_COLUMNS = PRODUCT_CURVE_HEADER.split(",")
 
 
 def fmt(x) -> str:
@@ -120,6 +122,27 @@ def _malformed_row(path, text, header) -> FormatError:
     return FormatError(f"{path} has malformed data rows")
 
 
+def _numeric_rows(path, text, lines, header):
+    """The data rows under the header line lines[0] as a float array with
+    one column per header name. A malformed row or a non-finite cell raises
+    FormatError naming its file line and column."""
+    if len(lines) < 2:
+        return np.empty((0, len(header)))
+    try:
+        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header):
+        raise _malformed_row(path, text, header)
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, c = np.argwhere(~finite)[0]
+        line_no = _numbered_rows(text)[row][0]
+        raise FormatError(f"{path} line {line_no}: column {header[c]} holds "
+                          f"the non-finite value {data[row, c]:g}")
+    return data
+
+
 def read_trace_csv(path) -> SimTrace:
     """Read a trace CSV; only t_s, i_total_A, vt_V are required.
 
@@ -138,23 +161,15 @@ def read_trace_csv(path) -> SimTrace:
     unknown = set(header) - set(_TRACE_COLUMNS)
     if unknown:
         raise FormatError(f"unknown trace columns: {sorted(unknown)}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise FormatError(f"repeated trace columns: {repeated}")
     missing = [c for c in _REQUIRED_COLUMNS if c not in header]
     if missing:
         raise FormatError(f"trace file missing required columns: {missing}")
-    try:
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    except ValueError:
-        data = None
-    if data is None or (data.ndim == 2 and data.shape[1] != len(header)):
-        raise _malformed_row(path, text, header)
-    if data.ndim != 2 or data.shape[0] < 2:
+    data = _numeric_rows(path, text, lines, header)
+    if data.shape[0] < 2:
         raise FormatError(f"{path} has no usable data rows")
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, c = np.argwhere(~finite)[0]
-        line_no = _numbered_rows(text)[row][0]
-        raise FormatError(f"{path} line {line_no}: column {header[c]} holds "
-                          f"the non-finite value {data[row, c]:g}")
     col = {name: data[:, i] for i, name in enumerate(header)}
 
     t = col["t_s"]
@@ -206,23 +221,32 @@ def read_features_json(path) -> PeakFeatures:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot parse features file {path}: {err}") from err
+
+    def number(obj, key, prefix=""):
+        value = float(obj[key])
+        if not math.isfinite(value):
+            raise FormatError(f"features file {path}: field {prefix}{key} "
+                              f"holds the non-finite value {value:g}")
+        return value
+
     try:
         fit = doc["fit"]
         return PeakFeatures(
-            height=float(doc["height_V_per_Ah"]),
-            q_at_peak=float(doc["q_at_peak_Ah"]),
-            v_at_peak=float(doc["v_at_peak_V"]),
-            skewness=float(doc["skewness"]),
+            height=number(doc, "height_V_per_Ah"),
+            q_at_peak=number(doc, "q_at_peak_Ah"),
+            v_at_peak=number(doc, "v_at_peak_V"),
+            skewness=number(doc, "skewness"),
             fit=SurrogateFit(
-                a=float(fit["a"]), b=float(fit["b"]), c=float(fit["c"]),
-                d=float(fit["d"]), e=float(fit["e"]), f=float(fit["f"]),
-                residual_rms=float(fit["residual_rms_V"]),
+                **{key: number(fit, key, "fit.") for key in "abcdef"},
+                residual_rms=number(fit, "residual_rms_V", "fit."),
                 converged=bool(fit["converged"]),
                 # diagnostics that older features files do not carry
                 **{key: cast(fit[key]) for key, cast in
                    (("n_iter", int), ("scaled_gradient", float))
                    if key in fit}),
             window=tuple(doc["window_V"]))
+    except FormatError:
+        raise
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(
             f"features file {path} missing field: {err}") from err
@@ -270,26 +294,23 @@ def write_product_curve_csv(curve: ProductCurve, path):
 def read_product_curve_csv(path) -> ProductCurve:
     path = Path(path)
     try:
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+        text = path.read_text()
     except OSError as err:
         raise FormatError(f"cannot read {path}: {err}") from err
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != PRODUCT_CURVE_HEADER:
         raise FormatError(f"{path} is not a product-curve CSV")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise FormatError(f"bad product-curve row: {ln!r}")
-        try:
-            rows.append(ProductBin(
-                product=float(parts[0]), mean_height=float(parts[1]),
-                mean_skewness=float(parts[2]), spread_height=float(parts[3]),
-                spread_skewness=float(parts[4]), n=int(parts[5])))
-        except ValueError as err:
-            raise FormatError(f"bad product-curve row {ln!r}: {err}") from err
-    if not rows:
+    data = _numeric_rows(path, text, lines, _PRODUCT_CURVE_COLUMNS)
+    if data.shape[0] == 0:
         raise FormatError(f"{path} has no data rows")
-    return ProductCurve(rows=rows)
+    for (no, _), n in zip(_numbered_rows(text), data[:, -1]):
+        if n != int(n):
+            raise FormatError(f"{path} line {no}: column n holds the "
+                              f"non-integer value {n:g}")
+    return ProductCurve(rows=[
+        ProductBin(product=r[0], mean_height=r[1], mean_skewness=r[2],
+                   spread_height=r[3], spread_skewness=r[4], n=int(r[5]))
+        for r in data.tolist()])
 
 
 def identification_dict(result: IdentificationResult,

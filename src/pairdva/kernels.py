@@ -1,40 +1,18 @@
 """Numerical kernels: electrode potentials, pair state, the RK4 discharge loop.
 
-Everything here is written once in plain numpy-compatible form. The
-electrode potentials take their exp and tanh as parameters and are bound
-twice: to numpy's ufuncs for arrays and to the math module for the Python
-floats of the integration loop, where ufunc dispatch would cost more than
-the arithmetic. At import time the numpy-bound set is rebound to
-numba-compiled versions unless the environment variable PAIRDVA_NUMBA is set
-to 0/false/no/off (or numba is missing), in which case the pure-python
-definitions run as-is. The compiled dispatchers accept scalars and arrays
-alike, so callers never need to know which backend is active.
+The electrode potentials are written once and take their exp and tanh as
+parameters. They are bound twice: to numpy's ufuncs for arrays, and to the
+math module for the Python floats of the integration loop, where ufunc
+dispatch would cost more than the arithmetic.
 """
 
 import math
-import os
 
 import numpy as np
 
 
-def _env_flag(name, default=True):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
-NUMBA_ENABLED = _env_flag("PAIRDVA_NUMBA")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        NUMBA_ENABLED = False
-
-
 def backend():
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"
 
 
 # --- electrode potentials -------------------------------------------------
@@ -196,15 +174,3 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     n = k + 1
     return z1[:n], z2[:n], i1[:n], i2[:n], vt[:n], n, reason
 
-
-if NUMBA_ENABLED:
-    _jit = _njit(cache=True, nogil=True)
-    u_pos = _jit(u_pos)
-    u_neg = _jit(u_neg)
-    ocv_array = _jit(ocv_array)
-    ocv = ocv_array
-    du_pos_dz = _jit(du_pos_dz)
-    du_neg_dz = _jit(du_neg_dz)
-    docv_dz = _jit(docv_dz)
-    pair_state = _jit(pair_state)
-    pair_rk4 = _jit(pair_rk4)

@@ -37,13 +37,6 @@ def run_cli(args, cwd, env_extra=None):
     return run_python(["-m", "pairdva", *args], cwd, env_extra)
 
 
-def child_backend(cwd, env_extra=None):
-    proc = run_python(["-c", "import pairdva; print(pairdva.backend())"],
-                      cwd, env_extra)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
 def stderr_json(proc):
     return json.loads(proc.stderr.strip().splitlines()[-1])
 
@@ -107,22 +100,6 @@ def test_reruns_are_byte_identical(workdir, sim_dir):
     assert a.stdout == b.stdout
 
 
-def test_numpy_backend_writes_identical_csv(workdir, sim_dir):
-    # without numba both children run numpy; the message says which ran
-    default = child_backend(workdir)
-    forced = child_backend(workdir, {"PAIRDVA_NUMBA": "0"})
-    compared = (f"default backend {default} vs PAIRDVA_NUMBA=0 backend "
-                f"{forced}")
-    assert forced == "numpy", compared
-    plain = workdir / "sim_np"
-    plain.mkdir()
-    proc = run_cli(["simulate", "--outdir", str(plain)], cwd=workdir,
-                   env_extra={"PAIRDVA_NUMBA": "0"})
-    assert proc.returncode == 0, proc.stderr
-    assert filecmp.cmp(sim_dir / "trace.csv", plain / "trace.csv",
-                       shallow=False), compared
-
-
 def test_features_json_round_trips_fit_diagnostics(baseline_features,
                                                   tmp_path):
     path = tmp_path / "features.json"
@@ -133,6 +110,27 @@ def test_features_json_round_trips_fit_diagnostics(baseline_features,
         baseline_features.fit.scaled_gradient, rel=1e-11)
     # a file written before the diagnostics were recorded still reads
     assert fileio.read_features_json(GOLDEN).fit.n_iter == 0
+
+
+@pytest.mark.parametrize("field", ["height_V_per_Ah", "skewness", "fit.a"])
+def test_non_finite_features_field_rejected(baseline_features, tmp_path,
+                                            field):
+    doc = fileio.features_dict(baseline_features)
+    *parents, key = field.split(".")
+    target = doc[parents[0]] if parents else doc
+    target[key] = float("nan")
+    path = tmp_path / "features.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fileio.FormatError, match=rf"field {field} .*nan"):
+        fileio.read_features_json(path)
+
+
+def test_repeated_trace_column_rejected(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("t_s,t_s,i_total_A,vt_V\n"
+                    "0,100,-40,4.1\n1,200,-40,4.0\n2,300,-40,3.9\n")
+    with pytest.raises(fileio.FormatError, match=r"repeated .*'t_s'"):
+        fileio.read_trace_csv(path)
 
 
 def test_invalid_ratio_exits_with_config_error(workdir):
@@ -166,6 +164,18 @@ def test_unknown_trace_column_rejected(workdir):
     proc = run_cli(["features", str(bad)], cwd=workdir)
     assert proc.returncode == 2
     assert "bogus" in stderr_json(proc)["message"]
+
+
+def test_repeated_trace_column_reported(workdir):
+    bad = workdir / "twice_cols.csv"
+    bad.write_text("t_s,t_s,i_total_A,vt_V\n"
+                   "0,100,-40,4.1\n1,200,-40,4.0\n2,300,-40,3.9\n")
+    proc = run_cli(["features", str(bad)], cwd=workdir)
+    assert proc.returncode == 2
+    doc = stderr_json(proc)
+    assert doc["error"] == "FormatError"
+    assert doc["stage"] == "io"
+    assert "'t_s'" in doc["message"]
 
 
 def test_minimal_columns_reproduce_features(workdir, sim_dir):

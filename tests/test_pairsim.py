@@ -208,8 +208,6 @@ def test_kernel_flags_soc_excursion_when_charging():
     assert out[6] == 4
 
 
-@pytest.mark.skipif(kernels.NUMBA_ENABLED,
-                    reason="compiled kernels do not see a patched ocv")
 def test_pair_rk4_evaluates_ocv_eight_times_per_step(monkeypatch):
     calls = []
     plain = kernels.ocv
@@ -236,8 +234,6 @@ def test_numpy_scalar_ratios_give_identical_trace():
         assert np.array_equal(getattr(boxed, name), getattr(plain, name))
 
 
-@pytest.mark.skipif(kernels.NUMBA_ENABLED,
-                    reason="compiled kernels do not see a patched ocv")
 def test_pair_rk4_steps_on_python_floats(monkeypatch):
     seen = set()
     plain = kernels.ocv

@@ -194,6 +194,24 @@ def test_product_curve_roundtrip(tmp_path, default_sweep, default_curve):
     assert disk.ambiguous == live.ambiguous
 
 
+@pytest.mark.parametrize("row,where", [
+    ("1,nan,0,0.01,0.01,3", ["line 3", "mean_height", "non-finite"]),
+    ("1,0.2,inf,0.01,0.01,3", ["line 3", "mean_skewness", "non-finite"]),
+    ("1,0.2,0,0.01", ["line 3", "spread_skewness", "missing"]),
+    ("1,0.2,0,0.01,0.01,x", ["line 3", "column n", "'x'"]),
+    ("1,0.2,0,0.01,0.01,1.5", ["line 3", "column n", "1.5"]),
+])
+def test_product_curve_csv_rejects_bad_cells(tmp_path, row, where):
+    path = tmp_path / "curve.csv"
+    path.write_text(f"{fileio.PRODUCT_CURVE_HEADER}\n"
+                    f"0.5,0.1,-0.2,0.01,0.01,1\n{row}\n"
+                    f"2,0.1,0.2,0.01,0.01,1\n")
+    with pytest.raises(fileio.FormatError) as err:
+        fileio.read_product_curve_csv(path)
+    for part in where:
+        assert part in str(err.value)
+
+
 def test_identify_resolution_override(default_sweep, default_curve):
     feats = default_sweep.cell(0.5, 1.0).features
     res = identify_product(feats, default_curve, skew_resolution=10.0)
