@@ -162,8 +162,7 @@ def cmd_sweep(args) -> int:
     fmap = run_sweep(grid.alpha_grid, grid.beta_grid, c_total=pair.c_total,
                      r_parallel=pair.r_parallel,
                      sim_config=_build(SimConfig, cfg),
-                     analysis=_build(AnalysisConfig, cfg),
-                     workers=grid.workers)
+                     analysis=_build(AnalysisConfig, cfg))
     curve = product_curve(fmap, grid.bin_width)
     outdir = _outdir(cfg)
     map_path = outdir / "featuremap.csv"

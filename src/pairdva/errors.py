@@ -65,7 +65,8 @@ class SweepError(PairDvaError, ValueError):
 
 
 class IdentifyError(PairDvaError, ValueError):
-    """Measured features lie outside the identification curve's range."""
+    """Measured features are not finite or lie outside the identification
+    curve's range."""
 
     stage = "identify_product"
 

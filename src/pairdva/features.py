@@ -20,6 +20,8 @@ from .signal import (SmoothingConfig, VOLTAGE_WINDOW, downselect_window,
 DENSITY_FLOOR = 0.005      # 1/Ah, below which samples are discarded
 MIN_SURVIVORS = 10
 FIT_TOL = 0.005            # volts RMS; above this the fit is not converged
+FIT_GTOL = 1e-9            # scaled gradient at which the fit stops early
+FIT_MAX_ITER = 200
 
 _PARAM_NAMES = ("a", "b", "c", "d", "e", "f")
 
@@ -123,8 +125,7 @@ def _default_init(q, v):
 
 
 def fit_positive_surrogate(q, v, init_hints: dict = None,
-                           fit_tol: float = FIT_TOL, gtol: float = 1e-9,
-                           max_iter: int = 200) -> SurrogateFit:
+                           fit_tol: float = FIT_TOL) -> SurrogateFit:
     """Damped Gauss-Newton fit of the six-parameter surrogate.
 
     init_hints may override any of a, b, c, d, e, f; the rest come from a
@@ -156,9 +157,9 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
     cost = float(r @ r)
     lam = 1e-3
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, FIT_MAX_ITER + 1):
         J = _jacobian(theta, q)
-        if _scaled_gradient(J, r, v_scale) < gtol:
+        if _scaled_gradient(J, r, v_scale) < FIT_GTOL:
             break
         col = np.sqrt((J * J).sum(axis=0))
         col[col < 1e-30] = 1.0
@@ -225,8 +226,7 @@ def weighted_skewness(x, w) -> float:
 
 def skewness_pipeline(q, v, fit: SurrogateFit,
                       config: SmoothingConfig = None,
-                      density_floor: float = DENSITY_FLOOR,
-                      min_survivors: int = MIN_SURVIVORS) -> SkewnessResult:
+                      density_floor: float = DENSITY_FLOOR) -> SkewnessResult:
     """Step signal to density to weighted Fisher skewness.
 
     N(q) = P(q) - v with P the fit's quadratic part; dN/dq is smoothed,
@@ -251,10 +251,10 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
     density = dndq / total
     kept = density >= density_floor
     n_kept = int(kept.sum())
-    if n_kept < min_survivors:
+    if n_kept < MIN_SURVIVORS:
         raise FeatureError(
             f"only {n_kept} samples above the density floor "
-            f"(need {min_survivors})")
+            f"(need {MIN_SURVIVORS})")
     w = density[kept] * dq
     w = w / w.sum()
     mu, sigma, skew = _weighted_moments(q[kept], w)

@@ -6,7 +6,6 @@ Identification walks that curve backward: height gives up to two product
 candidates, skewness picks between them.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,8 +23,7 @@ def _grid(lo, hi, steps):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Sweep settings: the (alpha, beta) grid, the product bin width and
-    the worker count."""
+    """Sweep settings: the (alpha, beta) grid and the product bin width."""
 
     alpha_min: float = 0.5
     alpha_max: float = 1.0
@@ -34,7 +32,6 @@ class GridConfig:
     beta_max: float = 2.0
     beta_steps: int = 11
     bin_width: float = 0.02
-    workers: int = 1
 
     @property
     def alpha_grid(self) -> np.ndarray:
@@ -116,14 +113,13 @@ class IdentificationResult:
 def run_sweep(alpha_grid=None, beta_grid=None, *,
               c_total: float = PairSpec.c_total,
               r_parallel: float = PairSpec.r_parallel,
-              sim_config: SimConfig = None, analysis: AnalysisConfig = None,
-              workers: int = GridConfig.workers) -> FeatureMap:
+              sim_config: SimConfig = None,
+              analysis: AnalysisConfig = None) -> FeatureMap:
     """Simulate and extract features for every (alpha, beta) grid cell.
 
-    Grids left out are the GridConfig defaults. Per-cell failures are
-    recorded in the cell status, not raised. Output is independent of
-    worker count: cells are computed independently and collected in grid
-    order.
+    Grids left out are the GridConfig defaults. Cells come out row-major
+    over (alpha, beta). Per-cell failures are recorded in the cell status,
+    not raised.
     """
     grid = GridConfig()
     alpha_grid = np.asarray(
@@ -137,15 +133,10 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
         raise ConfigError("alpha grid values must lie in (0, 1]")
     if np.any(beta_grid < 1.0):
         raise ConfigError("beta grid values must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     sim_config = sim_config if sim_config is not None else SimConfig()
     analysis = analysis if analysis is not None else AnalysisConfig()
 
-    pairs = [(float(a), float(b)) for a in alpha_grid for b in beta_grid]
-
-    def one(ab):
-        a, b = ab
+    def one(a, b):
         try:
             trace = simulate_cc_discharge(
                 make_pair(a, b, c_total, r_parallel), sim_config)
@@ -156,11 +147,7 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
                              status=type(err).__name__, stage=err.stage,
                              message=str(err))
 
-    if workers == 1:
-        cells = [one(ab) for ab in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(one, pairs))
+    cells = [one(float(a), float(b)) for a in alpha_grid for b in beta_grid]
     return FeatureMap(alpha_grid=alpha_grid, beta_grid=beta_grid,
                       cells=cells, c_total=c_total, r_parallel=r_parallel,
                       sim_config=sim_config, smoothing=analysis.smoothing)
@@ -216,11 +203,16 @@ def identify_product(features: PeakFeatures, curve: ProductCurve,
     (at most two for the expected single-humped shape); the candidate whose
     interpolated skewness is nearest the measured value wins. The result is
     flagged ambiguous when the top candidates' skewness values differ by
-    less than skew_resolution.
+    less than skew_resolution. A non-finite height or skewness raises
+    IdentifyError naming the field.
     """
     rows = curve.rows
     if not rows:
         raise SweepError("identification curve has no rows")
+    for name in ("height", "skewness"):
+        value = getattr(features, name)
+        if not np.isfinite(value):
+            raise IdentifyError(f"measured {name} is {value}, not finite")
     p = np.array([r.product for r in rows])
     mh = np.array([r.mean_height for r in rows])
     ms = np.array([r.mean_skewness for r in rows])

@@ -18,7 +18,7 @@ def baseline_features(balanced_trace):
 
 @pytest.fixture(scope="session")
 def default_sweep():
-    return pairdva.run_sweep(workers=4)
+    return pairdva.run_sweep()
 
 
 @pytest.fixture(scope="session")

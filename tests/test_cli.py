@@ -142,12 +142,14 @@ def test_invalid_ratio_exits_with_config_error(workdir):
 
 
 def test_unknown_config_key_rejected(workdir, sim_dir):
-    cfg = workdir / "bad.cfg"
-    cfg.write_text("frobnicate = 1\n")
-    proc = run_cli(["features", str(sim_dir / "trace.csv"),
-                    "--config", str(cfg)], cwd=workdir)
-    assert proc.returncode == 2
-    assert stderr_json(proc)["error"] == "ConfigError"
+    # workers was a config key while the sweep had a thread pool
+    for line in ("frobnicate = 1", "workers = 2"):
+        cfg = workdir / "bad.cfg"
+        cfg.write_text(line + "\n")
+        proc = run_cli(["features", str(sim_dir / "trace.csv"),
+                        "--config", str(cfg)], cwd=workdir)
+        assert proc.returncode == 2, line
+        assert stderr_json(proc)["error"] == "ConfigError", line
 
 
 def test_missing_input_file(workdir):
@@ -320,7 +322,7 @@ SIM_KEYS = ["--c-rate", "--dt-s", "--z0", "--v-cutoff-v", "--soc-floor",
 ANALYSIS_KEYS = ["--dq-ah", "--sg-window", "--sg-order", "--v-lo", "--v-hi",
                  "--density-floor", "--fit-tol"]
 GRID_KEYS = ["--alpha-min", "--alpha-max", "--alpha-steps", "--beta-min",
-             "--beta-max", "--beta-steps", "--bin-width", "--workers"]
+             "--beta-max", "--beta-steps", "--bin-width"]
 COMMON = ["-h", "--help", "--config", "--outdir"]
 
 
@@ -349,12 +351,10 @@ def test_cli_surface_is_pinned():
         ("density_floor", 0.005), ("fit_tol", 0.005), ("alpha_min", 0.5),
         ("alpha_max", 1.0), ("alpha_steps", 11), ("beta_min", 1.0),
         ("beta_max", 2.0), ("beta_steps", 11), ("bin_width", 0.02),
-        ("workers", 1), ("skew_resolution", None), ("outdir", None),
-        ("out", None),
+        ("skew_resolution", None), ("outdir", None), ("out", None),
     ]
     ints = {key for key, (caster, _) in cli._SCHEMA.items() if caster is int}
-    assert ints == {"sg_window", "sg_order", "alpha_steps", "beta_steps",
-                    "workers"}
+    assert ints == {"sg_window", "sg_order", "alpha_steps", "beta_steps"}
 
 
 def test_unit_suffixed_config_key_reaches_sim_config(workdir):

@@ -15,15 +15,16 @@ def test_default_grids():
     assert len(b) == 11 and b[0] == 1.0 and b[-1] == 2.0
 
 
-def test_parallel_schedule_does_not_change_results():
+def test_sweep_cells_are_row_major_and_match_single_runs():
     grid_a, grid_b = [0.5, 0.75, 1.0], [1.0, 1.5, 2.0]
-    serial = run_sweep(alpha_grid=grid_a, beta_grid=grid_b, workers=1)
-    threaded = run_sweep(alpha_grid=grid_a, beta_grid=grid_b, workers=4)
-    assert len(serial.cells) == 9
-    for cs, ct in zip(serial.cells, threaded.cells):
-        assert (cs.alpha, cs.beta) == (ct.alpha, ct.beta)
-        assert cs.features.height == ct.features.height
-        assert cs.features.skewness == ct.features.skewness
+    fmap = run_sweep(alpha_grid=grid_a, beta_grid=grid_b)
+    assert [(c.alpha, c.beta) for c in fmap.cells] == [
+        (a, b) for a in grid_a for b in grid_b]
+    for cell in fmap.cells:
+        want = extract_features(
+            simulate_cc_discharge(make_pair(cell.alpha, cell.beta)))
+        assert cell.features.height == want.height
+        assert cell.features.skewness == want.skewness
 
 
 def test_sweep_records_failures_instead_of_raising():
@@ -174,6 +175,17 @@ def test_identify_rejects_unreachable_height(default_curve, baseline_features):
     too_low = replace(baseline_features, height=0.001)
     with pytest.raises(IdentifyError):
         identify_product(too_low, default_curve)
+
+
+@pytest.mark.parametrize("field", ["height", "skewness"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_identify_rejects_non_finite_features(default_curve,
+                                              baseline_features, field,
+                                              value):
+    from dataclasses import replace
+    feats = replace(baseline_features, **{field: value})
+    with pytest.raises(IdentifyError, match=f"{field} is {value}"):
+        identify_product(feats, default_curve)
 
 
 def test_product_curve_roundtrip(tmp_path, default_sweep, default_curve):
