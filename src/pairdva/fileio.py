@@ -35,6 +35,15 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _write_rows(path, header: str, rows, n_floats: int, tail: str = ""):
+    """Write the header line, then one line per row: n_floats cells in fmt's
+    12 digits ("%.12g" % x is the text of f"{x:.12g}"), then tail % the rest
+    of the row."""
+    row_format = ",".join(["%.12g"] * n_floats) + tail + "\n"
+    Path(path).write_text(
+        header + "\n" + "".join([row_format % row for row in rows]))
+
+
 def _round12(x):
     return float(fmt(x))
 
@@ -80,10 +89,8 @@ def sidecar(kind: str, run_config: dict, **fields) -> dict:
 def write_trace_csv(trace: SimTrace, path):
     cols = (trace.t, trace.i_total, trace.i1, trace.i2, trace.z1, trace.z2,
             trace.q_pair, trace.q1, trace.q2, trace.v_t)
-    lines = [TRACE_HEADER]
-    for k in range(len(trace)):
-        lines.append(",".join(fmt(c[k]) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in cols))
+    _write_rows(path, TRACE_HEADER, rows, len(cols))
 
 
 def trace_sidecar(trace: SimTrace, run_config: dict) -> dict:
@@ -100,6 +107,20 @@ def _numbered_rows(text):
             if ln.strip()][1:]
 
 
+def _is_number(cell: str) -> bool:
+    """Whether the fast parser (np.loadtxt) reads cell as a float: the rule
+    of float() without its underscore digit grouping and non-ASCII
+    digits."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _malformed_row(path, text, header) -> FormatError:
     """The error for the first data row with the wrong cell count or a cell
     that is not a number, naming its file line (and column)."""
@@ -114,9 +135,7 @@ def _malformed_row(path, text, header) -> FormatError:
                 f"{path} line {no}: {len(cells)} cells, past the last "
                 f"column {header[-1]} of the {len(header)}-column header")
         for name, cell in zip(header, cells):
-            try:
-                float(cell)
-            except ValueError:
+            if not _is_number(cell):
                 return FormatError(f"{path} line {no}: column {name} holds "
                                    f"the non-numeric value {cell.strip()!r}")
     return FormatError(f"{path} has malformed data rows")
@@ -129,7 +148,7 @@ def _numeric_rows(path, text, lines, header):
     if len(lines) < 2:
         return np.empty((0, len(header)))
     try:
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape[1] != len(header):
@@ -255,17 +274,12 @@ def read_features_json(path) -> PeakFeatures:
 # --- sweeps ------------------------------------------------------------------
 
 def write_featuremap_csv(fmap: FeatureMap, path):
-    lines = [FEATUREMAP_HEADER]
-    for cell in fmap.cells:
-        if cell.ok:
-            h = fmt(cell.features.height)
-            s = fmt(cell.features.skewness)
-        else:
-            h = "nan"
-            s = "nan"
-        lines.append(f"{fmt(cell.alpha)},{fmt(cell.beta)},"
-                     f"{fmt(cell.product)},{h},{s},{cell.status}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [(c.alpha, c.beta, c.product,
+             # a failed cell's height and skewness are written as nan
+             *((c.features.height, c.features.skewness) if c.ok
+               else (math.nan, math.nan)),
+             c.status) for c in fmap.cells]
+    _write_rows(path, FEATUREMAP_HEADER, rows, 5, ",%s")
 
 
 def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
@@ -283,12 +297,9 @@ def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
 
 
 def write_product_curve_csv(curve: ProductCurve, path):
-    lines = [PRODUCT_CURVE_HEADER]
-    for r in curve.rows:
-        lines.append(f"{fmt(r.product)},{fmt(r.mean_height)},"
-                     f"{fmt(r.mean_skewness)},{fmt(r.spread_height)},"
-                     f"{fmt(r.spread_skewness)},{r.n}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [(r.product, r.mean_height, r.mean_skewness, r.spread_height,
+             r.spread_skewness, r.n) for r in curve.rows]
+    _write_rows(path, PRODUCT_CURVE_HEADER, rows, 5, ",%s")
 
 
 def read_product_curve_csv(path) -> ProductCurve:

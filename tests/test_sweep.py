@@ -212,6 +212,7 @@ def test_product_curve_roundtrip(tmp_path, default_sweep, default_curve):
     ("1,0.2,0,0.01", ["line 3", "spread_skewness", "missing"]),
     ("1,0.2,0,0.01,0.01,x", ["line 3", "column n", "'x'"]),
     ("1,0.2,0,0.01,0.01,1.5", ["line 3", "column n", "1.5"]),
+    ("1,0.2,1_0,0.01,0.01,3", ["line 3", "mean_skewness", "'1_0'"]),
 ])
 def test_product_curve_csv_rejects_bad_cells(tmp_path, row, where):
     path = tmp_path / "curve.csv"
