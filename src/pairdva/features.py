@@ -11,11 +11,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .errors import ConfigError, FeatureError, FitWarning, SpanError
 from .signal import (SmoothingConfig, VOLTAGE_WINDOW, downselect_window,
-                     dvdq_curve, peak_height)
+                     dvdq_curve, peak_height, savgol_smooth)
 
 DENSITY_FLOOR = 0.005      # 1/Ah, below which samples are discarded
 MIN_SURVIVORS = 10
@@ -242,8 +241,7 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
     dq = float(q[-1] - q[0]) / (len(q) - 1)
     p_of_q = fit.a + fit.b * q + fit.c * q * q
     n_sig = p_of_q - v
-    n_smooth = savgol_filter(n_sig, config.sg_window, config.sg_order,
-                             mode="interp")
+    n_smooth = savgol_smooth(n_sig, config.sg_window, config.sg_order)
     dndq = np.gradient(n_smooth, dq)
     total = float(dndq.sum() * dq)
     if total <= 0.0:

@@ -11,7 +11,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import __version__
 from .errors import FormatError
@@ -198,7 +197,11 @@ def read_trace_csv(path) -> SimTrace:
     if "q_pair_Ah" in col:
         q_pair = col["q_pair_Ah"]
     else:
-        q_pair = cumulative_trapezoid(np.abs(i_total), t, initial=0.0) / 3600.0
+        # cumulative trapezoid of |i| over t, from 0 at the first sample
+        i_abs = np.abs(i_total)
+        q_pair = np.concatenate((
+            [0.0], np.cumsum(np.diff(t) * (i_abs[1:] + i_abs[:-1]) / 2.0)
+        )) / 3600.0
     per_cell = all(name in col for name in
                    ("i1_A", "i2_A", "z1", "z2", "q1_Ah", "q2_Ah"))
     zeros = np.zeros(n)

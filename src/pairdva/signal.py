@@ -6,10 +6,10 @@ Savitzky-Golay window has a fixed physical span.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .errors import ConfigError, EmptyWindowError, FormatError, NoPeakError, SpanError
 
@@ -92,6 +92,76 @@ def resample_uniform_q(trace, dq: float, source: str = "pair"):
     return q, v
 
 
+@lru_cache(maxsize=64)
+def _savgol_weights(window: int, order: int) -> np.ndarray:
+    """Smoothing weights of an odd window in correlation order, read-only.
+
+    Solved by lstsq on the Vandermonde matrix of x = half ... -half with
+    rcond eps * window, as the reference savgol_coeffs(use="conv") does,
+    so the weights equal its weights bit for bit.
+    """
+    half = window // 2
+    x = np.arange(-half, window - half, dtype=np.float64)[::-1]
+    a = x ** np.arange(order + 1, dtype=np.float64).reshape(-1, 1)
+    e0 = np.zeros(order + 1)
+    e0[0] = 1.0
+    w = np.linalg.lstsq(a, e0, rcond=np.finfo(np.float64).eps * window)[0]
+    w = w[::-1].copy()
+    w.flags.writeable = False
+    return w
+
+
+def _polyfit(t: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    """np.polyfit(t, y, order) with the powers of t taken by `**`.
+
+    np.polyfit builds them by repeated multiplication, which rounds
+    differently once t**order passes 2**53; the reference edge fit uses
+    `**`, and this keeps its bits.
+    """
+    lhs = t[:, None] ** np.arange(order, -1, -1, dtype=np.float64)
+    scale = np.sqrt(np.sum(lhs * lhs, axis=0))
+    lhs /= scale
+    coef = np.linalg.lstsq(lhs, y, rcond=len(t) * np.finfo(np.float64).eps)[0]
+    return coef / scale
+
+
+def savgol_smooth(y, window: int, order: int) -> np.ndarray:
+    """Savitzky-Golay smoothing of a 1-d signal with polynomial edge fits.
+
+    Each interior sample becomes the centre value of the degree-`order`
+    least-squares polynomial over the `window` samples around it; the
+    first and last window // 2 samples take the polynomials fitted to the
+    first and last full windows. The result equals the reference
+    savgol_filter(y, window, order, mode="interp") bit for bit
+    (tests/test_signal.py), so the interior sums in that filter's order:
+    sample pairs, outermost first, when the weights mirror within eps, and
+    one running sum otherwise, since rounding leaves the weights of many
+    configurations (25/5 and 35/3 among them) a few ulps from symmetric.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    if window % 2 != 1 or not order < window <= n:
+        raise ConfigError(f"need an odd window in ({order}, {n}], "
+                          f"got {window}")
+    w = _savgol_weights(window, order)
+    h = window // 2
+    out = np.empty(n)
+    mid = out[h:n - h]
+    if np.all(np.abs(w[:h] - w[:h:-1]) <= np.finfo(np.float64).eps):
+        np.multiply(y[h:n - h], w[h], out=mid)
+        for j in range(h, 0, -1):
+            mid += (y[h - j:n - h - j] + y[h + j:n - h + j]) * w[h - j]
+    else:
+        np.multiply(y[2 * h:], w[2 * h], out=mid)
+        for k in range(2 * h):
+            mid += y[k:n - 2 * h + k] * w[k]
+    t = np.arange(window, dtype=np.float64)
+    out[:h] = np.polyval(_polyfit(t, y[:window], order), t[:h])
+    out[n - h:] = np.polyval(_polyfit(t, y[n - window:], order),
+                             t[window - h:])
+    return out
+
+
 def dvdq_curve(trace, config: SmoothingConfig = None,
                source: str = "pair") -> DvDqCurve:
     """Smooth the resampled voltage and differentiate to -dV/dQ.
@@ -104,8 +174,7 @@ def dvdq_curve(trace, config: SmoothingConfig = None,
         raise SpanError(
             f"{len(q)} samples; need at least twice the filter window "
             f"({2 * config.sg_window})")
-    v_smooth = savgol_filter(v, config.sg_window, config.sg_order,
-                             mode="interp")
+    v_smooth = savgol_smooth(v, config.sg_window, config.sg_order)
     dvdq = -np.gradient(v_smooth, config.dq_ah)
     return DvDqCurve(q=q, v=v, dvdq=dvdq, dq=config.dq_ah, source=source,
                      smoothing=config)

@@ -8,7 +8,6 @@ pass/fail line for its criterion.
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
-from scipy.signal import savgol_filter
 
 import pairdva
 from pairdva import (SimConfig, SmoothingConfig, extract_features,
@@ -16,7 +15,7 @@ from pairdva import (SimConfig, SmoothingConfig, extract_features,
                      simulate_cc_discharge, single_cell_reference,
                      weighted_skewness)
 from pairdva.features import fit_positive_surrogate, skewness_pipeline
-from pairdva.signal import downselect_window, dvdq_curve
+from pairdva.signal import downselect_window, dvdq_curve, savgol_smooth
 
 H_TOL_FRAC = 0.01      # feature tolerance on height, fraction of h0
 S_TOL = 0.02           # feature tolerance on skewness, absolute
@@ -248,8 +247,8 @@ def test_criterion_09_numerical_hygiene(acceptance_report, balanced_trace):
     cfg = SmoothingConfig()
     x = np.arange(200, dtype=float)
     cubic = 4.0 - 3e-3 * x + 2e-5 * x**2 - 1e-7 * x**3
-    sg_err = float(np.abs(savgol_filter(cubic, cfg.sg_window, cfg.sg_order,
-                                        mode="interp") - cubic).max())
+    sg_err = float(np.abs(savgol_smooth(cubic, cfg.sg_window, cfg.sg_order)
+                          - cubic).max())
 
     # fitter recovers exact synthetic parameters
     true = np.array([3.85, -2e-3, 1e-6, 0.03, 50.0, 2.0])

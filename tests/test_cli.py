@@ -367,3 +367,44 @@ def test_unit_suffixed_config_key_reaches_sim_config(workdir):
     side = json.loads((out / "trace.json").read_text())
     assert side["sim_config"]["dt"] == 2.0
     assert side["run_config"]["dt_s"] == 2.0
+
+
+NO_SCIPY_CHILD = r"""
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import pairdva
+assert not scipy_modules(), scipy_modules()[:3]
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not a runtime dependency")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from pairdva import cli, fileio
+
+assert cli.main(["simulate", "--alpha", "0.7", "--beta", "1.6",
+                 "--outdir", "sim"]) == 0
+assert cli.main(["features", "sim/trace.csv", "--outdir", "sim",
+                 "--out", "features.json"]) == 0
+rows = open("sim/trace.csv").read().splitlines()
+with open("slim.csv", "w") as f:
+    f.writelines(",".join(r.split(",")[k] for k in (0, 1, 9)) + "\n"
+                 for r in rows)
+assert not fileio.read_trace_csv("slim.csv").has_cell2
+assert cli.main(["features", "slim.csv", "--out", "slim.json"]) == 0
+assert not scipy_modules(), scipy_modules()[:3]
+"""
+
+
+def test_runtime_runs_without_scipy(tmp_path):
+    proc = run_python(["-c", NO_SCIPY_CHILD], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sim" / "features.json").is_file()
+    assert (tmp_path / "slim.json").is_file()

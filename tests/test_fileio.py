@@ -1,9 +1,13 @@
 """Property tests for the trace CSV writer and reader: the writer's text is
 fmt() of every cell, finite tables round-trip at the writer's 12 digits,
-and one corrupt cell or short row is named by its file line and column."""
+one corrupt cell or short row is named by its file line and column, and
+a file without a charge column integrates its current like the reference
+trapezoid."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from pairdva import fileio
 from pairdva.pairsim import SimTrace
@@ -121,3 +125,17 @@ def test_crlf_blank_lines_and_padding_read_like_plain_file(tmp_path):
         fileio.read_trace_csv(messy)
     assert f"line 7: column {COLUMNS[3]} holds the non-finite value inf" \
         in str(err.value)
+
+
+def test_minimal_columns_charge_equals_reference_trapezoid(tmp_path):
+    # lab-style: irregular 1-10 s sampling, noisy current, 0.1 mV steps
+    rng = np.random.default_rng(11)
+    t = np.cumsum(rng.uniform(1.0, 10.0, 2000))
+    i = -40.0 + 0.2 * rng.normal(size=t.size)
+    v = np.round(4.1 - 1e-4 * t, 4)
+    path = tmp_path / "lab.csv"
+    np.savetxt(path, np.column_stack((t, i, v)), fmt="%.17g", delimiter=",",
+               header="t_s,i_total_A,vt_V", comments="")
+    got = fileio.read_trace_csv(path).q_pair
+    assert np.array_equal(
+        got, cumulative_trapezoid(np.abs(i), t, initial=0.0) / 3600.0)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import savgol_filter
 
 from pairdva import (ConfigError, DvDqCurve, EmptyWindowError, FormatError,
                      NoPeakError, SimTrace, SmoothingConfig, SpanError,
                      downselect_window, dvdq_curve, peak_height,
                      resample_uniform_q)
+from pairdva.signal import savgol_smooth
 
 
 def synthetic_trace(q, v):
@@ -56,6 +59,56 @@ def test_resample_rejects_non_finite_samples(column, bad):
     {"q": q, "v": v}[column][40] = bad
     with pytest.raises(FormatError, match="sample 40"):
         resample_uniform_q(synthetic_trace(q, v), dq=0.05)
+
+
+# --- smoothing filter ----------------------------------------------------------
+# scipy's filter, a test-only dependency sharing no code with savgol_smooth,
+# is the reference
+
+def random_walk(n, seed=0):
+    return 3.8 + 1e-3 * np.cumsum(np.random.default_rng(seed).normal(size=n))
+
+
+def test_smoother_equals_reference_on_balanced_trace(balanced_trace):
+    _, v = resample_uniform_q(balanced_trace, SmoothingConfig().dq_ah)
+    assert np.array_equal(savgol_smooth(v, 25, 3),
+                          savgol_filter(v, 25, 3, mode="interp"))
+
+
+# (25, 3) is the default; at (25, 5) and (35, 3) rounding leaves the
+# weights more than eps from symmetric, which takes the plain-sum interior;
+# at (101, 9) the edge fit's powers pass 2**53
+@pytest.mark.parametrize("n,window,order", [
+    (50, 25, 3), (51, 25, 3), (200, 25, 3), (2401, 25, 3),
+    (200, 25, 5), (200, 35, 3), (201, 101, 9)])
+def test_smoother_equals_reference_on_random_walks(n, window, order):
+    y = random_walk(n, seed=n)
+    assert np.array_equal(savgol_smooth(y, window, order),
+                          savgol_filter(y, window, order, mode="interp"))
+
+
+@st.composite
+def window_and_order(draw):
+    window = draw(st.sampled_from(range(5, 52, 2)))
+    return window, draw(st.integers(1, min(window - 2, 7)))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(config=window_and_order(), extra=st.integers(0, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_smoother_agrees_with_reference_over_configs(config, extra, seed):
+    window, order = config
+    y = random_walk(window + extra, seed)
+    ref = savgol_filter(y, window, order, mode="interp")
+    err = np.abs(savgol_smooth(y, window, order) - ref).max()
+    assert err <= 1e-9 * np.abs(y).max()
+
+
+def test_smoother_rejects_bad_window():
+    y = random_walk(30)
+    for window, order in [(24, 3), (3, 3), (31, 3)]:
+        with pytest.raises(ConfigError):
+            savgol_smooth(y, window, order)
 
 
 # --- derivative curve ---------------------------------------------------------
