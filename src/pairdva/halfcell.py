@@ -35,7 +35,7 @@ def u_neg(z):
 
 def ocv(z):
     """Full-cell open-circuit voltage: u_pos(z) - u_neg(z)."""
-    return kernels.ocv_array(_checked(z))
+    return kernels.ocv(_checked(z))
 
 
 def docv_dz(z):

@@ -1,5 +1,7 @@
 """Pair construction, current split, and the CC discharge integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,21 +210,131 @@ def test_kernel_flags_soc_excursion_when_charging():
     assert out[6] == 4
 
 
-def test_pair_rk4_evaluates_ocv_eight_times_per_step(monkeypatch):
-    calls = []
-    plain = kernels.ocv
+def test_kernel_sample_count_matches_arrays_at_n_max():
+    # no termination within n_max samples: reason 0 and n_max samples
+    out = kernels.pair_rk4(1.0, 1.0, 3600.0 * 60.0, 3600.0 * 30.0,
+                           0.002, 0.003, -40.0, 1.0, 5, 3.0, 0.02, 1.0e9)
+    assert out[5:] == (5, 0)
+    assert all(len(col) == 5 for col in out[:5])
 
-    def counting(z):
-        calls.append(z)
-        return plain(z)
 
-    monkeypatch.setattr(kernels, "ocv", counting)
-    out = kernels.pair_rk4(1.0, 1.0, 3600.0 * 60.0, 3600.0 * 60.0,
-                           0.002, 0.002, -40.0, 1.0, 20, 3.0, 0.02, 10.0)
-    steps = out[5] - 1
-    assert (steps, out[6]) == (10, 3)
-    # two OCVs per stage, the recorded sample serving as stage 1
-    assert len(calls) == 8 * steps + 2
+def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
+                   dt, n_max, v_cutoff, soc_floor, t_max):
+    """The step-by-step RK4 loop: the reference for the windowed Newton
+    solve in kernels.pair_rk4."""
+    # plain floats keep every step on float arithmetic; a numpy scalar
+    # argument would carry numpy-scalar arithmetic through the loop
+    c1_as, c2_as = float(c1_as), float(c2_as)
+    r1, r2, i_total, dt = float(r1), float(r2), float(i_total), float(dt)
+    v_cutoff, soc_floor = float(v_cutoff), float(soc_floor)
+    t_max = float(t_max)
+    z1 = np.empty(n_max)
+    z2 = np.empty(n_max)
+    i1 = np.empty(n_max)
+    i2 = np.empty(n_max)
+    vt = np.empty(n_max)
+    a = float(z1_0)
+    b = float(z2_0)
+    reason = 0
+    k = 0
+    while k < n_max:
+        c1, c2, v = kernels.pair_state(a, b, r1, r2, i_total)
+        z1[k] = a
+        z2[k] = b
+        i1[k] = c1
+        i2[k] = c2
+        vt[k] = v
+        if v <= v_cutoff:
+            reason = 1
+            break
+        if min(a, b) <= soc_floor:
+            reason = 2
+            break
+        if k * dt >= t_max:
+            reason = 3
+            break
+        k1a, k1b = c1 / c1_as, c2 / c2_as
+        c1, c2, _ = kernels.pair_state(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b,
+                                       r1, r2, i_total)
+        k2a, k2b = c1 / c1_as, c2 / c2_as
+        c1, c2, _ = kernels.pair_state(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b,
+                                       r1, r2, i_total)
+        k3a, k3b = c1 / c1_as, c2 / c2_as
+        c1, c2, _ = kernels.pair_state(a + dt * k3a, b + dt * k3b,
+                                       r1, r2, i_total)
+        k4a, k4b = c1 / c1_as, c2 / c2_as
+        a = a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        k += 1
+        if not (-1e-9 <= a <= 1.0 + 1e-9) or not (-1e-9 <= b <= 1.0 + 1e-9):
+            reason = 4
+            k -= 1
+            break
+    n = k + 1
+    return z1[:n], z2[:n], i1[:n], i2[:n], vt[:n], n, reason
+
+
+def assert_solve_matches_loop(monkeypatch, alpha, beta, cfg):
+    pair = make_pair(alpha, beta)
+    with monkeypatch.context() as patched:
+        patched.setattr(kernels, "pair_rk4", _pair_rk4_loop)
+        want = simulate_cc_discharge(pair, cfg)
+    got = simulate_cc_discharge(pair, cfg)
+    # the same trajectory bit for bit, not within a tolerance
+    assert (len(got), got.reason) == (len(want), want.reason)
+    for name in ("z1", "z2", "i1", "i2", "v_t"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    return got
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 2.0), (0.7, 1.6),
+                                         (0.5, 1.0), (1.0, 2.0), (0.9, 1.95),
+                                         (0.975, 1.05)])
+def test_windowed_solve_matches_stepping_loop(monkeypatch, alpha, beta):
+    assert_solve_matches_loop(monkeypatch, alpha, beta, SimConfig())
+
+
+@pytest.mark.parametrize("kw", [{"dt": 0.5}, {"dt": 2.0}, {"c_rate": 1.5},
+                                {"v_cutoff": 3.5}, {"t_max": 3000.0}])
+def test_windowed_solve_matches_stepping_loop_configs(monkeypatch, kw):
+    assert_solve_matches_loop(monkeypatch, 0.7, 1.6, SimConfig(**kw))
+
+
+@pytest.mark.parametrize("alpha, beta, c_rate", [(0.1, 1.0, 1.0),
+                                                 (0.30, 1.70, 1.47)])
+def test_windows_retried_at_half_length_match_loop(monkeypatch, alpha, beta,
+                                                   c_rate):
+    guesses = []
+    evaluate = kernels.ocv_and_slope
+
+    def recording(z):
+        guesses.append(z.shape[-1] == 1)
+        return evaluate(z)
+
+    monkeypatch.setattr(kernels, "ocv_and_slope", recording)
+    tr = assert_solve_matches_loop(monkeypatch, alpha, beta,
+                                   SimConfig(c_rate=c_rate))
+    # each new window starts from one single-column RK4 step (four stages);
+    # a retried window makes more of them than an unbroken run needs
+    assert sum(guesses) // 4 > -(-len(tr) // kernels.WINDOW)
+
+
+def test_one_step_windows_match_loop(monkeypatch):
+    # with no Newton iteration allowed, a window that is not exact at once
+    # is retried at half length, down to single steps
+    monkeypatch.setattr(kernels, "MAX_NEWTON", 0)
+    assert_solve_matches_loop(monkeypatch, 0.7, 1.6, SimConfig(t_max=200.0))
+
+
+def test_simulation_emits_no_warning():
+    # trial iterates of the retried windows overflow; the solve keeps
+    # that to itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta, c_rate in ((0.1, 1.0, 1.0), (0.30, 1.70, 1.47),
+                                    (0.7, 1.6, 1.0 / 3.0)):
+            simulate_cc_discharge(make_pair(alpha, beta),
+                                  config=SimConfig(c_rate=c_rate))
 
 
 def test_numpy_scalar_ratios_give_identical_trace():
@@ -232,23 +344,6 @@ def test_numpy_scalar_ratios_give_identical_trace():
     for name in ("t", "i_total", "i1", "i2", "z1", "z2", "q_pair", "q1",
                  "q2", "v_t"):
         assert np.array_equal(getattr(boxed, name), getattr(plain, name))
-
-
-def test_pair_rk4_steps_on_python_floats(monkeypatch):
-    seen = set()
-    plain = kernels.ocv
-
-    def recording(z):
-        seen.add(type(z))
-        return plain(z)
-
-    monkeypatch.setattr(kernels, "ocv", recording)
-    head = map(np.float64, (1.0, 1.0, 3600.0 * 60.0, 3600.0 * 60.0,
-                            0.002, 0.002, -40.0, 1.0))
-    tail = map(np.float64, (3.0, 0.02, 10.0))
-    out = kernels.pair_rk4(*head, 20, *tail)
-    assert out[6] == 3
-    assert seen == {float}
 
 
 def test_step_halving_converged():
