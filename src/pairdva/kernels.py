@@ -29,72 +29,59 @@ NEG_STEPS = ((0.012, 0.15, 0.019), (0.012, 0.19, 0.019),
              (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066))
 
 
-def _electrodes():
-    """u_pos, u_neg, their z-derivatives, and ocv_and_slope, which shares
-    the exponential, power and tanh terms between the OCV and its slope."""
+def _pos_terms(z):
+    # np.float_power is the C library's pow, which z**k on a float or a
+    # numpy scalar also calls, so the formulas give the same bits on floats
+    # and on arrays; numpy's array ** rounds differently in about 5% of cases
+    _, pk, pb = POS_EXP
+    return (np.exp(pk * (1.0 - z) - pb),
+            [np.float_power(z, k) for k in (2.0, 3.0, 4.0)])
+
+
+def _neg_terms(z):
+    _, nk, ns, nb = NEG_EXP
+    return (np.exp(-nk * (ns * z + nb)),
+            [np.tanh((z - m) / w) for _, m, w in NEG_STEPS])
+
+
+def _pos(z, terms):
     p0, p1, p2, p3, p4, p5 = POS_POLY
-    pa, pk, pb = POS_EXP
-    n0 = NEG_BASE
-    na, nk, ns, nb = NEG_EXP
-
-    def pos_terms(z):
-        # np.float_power is the C library's pow, which z**k on a float or a
-        # numpy scalar also calls, so the formulas give the same bits on
-        # floats and on arrays; numpy's array ** rounds differently in
-        # about 5% of cases
-        return (np.exp(pk * (1.0 - z) - pb),
-                [np.float_power(z, k) for k in (2.0, 3.0, 4.0)])
-
-    def neg_terms(z):
-        return (np.exp(-nk * (ns * z + nb)),
-                [np.tanh((z - m) / w) for _, m, w in NEG_STEPS])
-
-    def pos(z, terms):
-        e, (z2, z3, z4) = terms
-        return (p0 + p1 * z + p2 * z2 + p3 * z3 + p4 * z4
-                + p5 * np.float_power(z, 5.0) - pa * e)
-
-    def neg(terms):
-        e, tanhs = terms
-        u = n0 + na * e
-        for (h, _, _), t in zip(NEG_STEPS, tanhs):
-            u = u - h * t
-        return u
-
-    def dpos(z, terms):
-        e, (z2, z3, z4) = terms
-        return (p1 + 2.0 * p2 * z + 3.0 * p3 * z2 + 4.0 * p4 * z3
-                + 5.0 * p5 * z4
-                + pa * pk * e)
-
-    def dneg(terms):
-        # sech^2 written as 1 - tanh^2 so large arguments cannot overflow
-        e, tanhs = terms
-        d = -na * nk * ns * e
-        for (h, _, w), t in zip(NEG_STEPS, tanhs):
-            d = d - (h / w) * (1.0 - t * t)
-        return d
-
-    def u_pos(z):
-        return pos(z, pos_terms(z))
-
-    def u_neg(z):
-        return neg(neg_terms(z))
-
-    def du_pos_dz(z):
-        return dpos(z, pos_terms(z))
-
-    def du_neg_dz(z):
-        return dneg(neg_terms(z))
-
-    def ocv_and_slope(z):
-        tp, tn = pos_terms(z), neg_terms(z)
-        return pos(z, tp) - neg(tn), dpos(z, tp) - dneg(tn)
-
-    return u_pos, u_neg, du_pos_dz, du_neg_dz, ocv_and_slope
+    e, (z2, z3, z4) = terms
+    return (p0 + p1 * z + p2 * z2 + p3 * z3 + p4 * z4
+            + p5 * np.float_power(z, 5.0) - POS_EXP[0] * e)
 
 
-u_pos, u_neg, du_pos_dz, du_neg_dz, ocv_and_slope = _electrodes()
+def _neg(terms):
+    e, tanhs = terms
+    u = NEG_BASE + NEG_EXP[0] * e
+    for (h, _, _), t in zip(NEG_STEPS, tanhs):
+        u = u - h * t
+    return u
+
+
+def _slope(z, pos_terms, neg_terms):
+    """d(u_pos - u_neg)/dz from the terms the potentials share."""
+    _, p1, p2, p3, p4, p5 = POS_POLY
+    pa, pk, _ = POS_EXP
+    na, nk, ns, _ = NEG_EXP
+    e, (z2, z3, z4) = pos_terms
+    dpos = (p1 + 2.0 * p2 * z + 3.0 * p3 * z2 + 4.0 * p4 * z3
+            + 5.0 * p5 * z4
+            + pa * pk * e)
+    # sech^2 written as 1 - tanh^2 so large arguments cannot overflow
+    e, tanhs = neg_terms
+    dneg = -na * nk * ns * e
+    for (h, _, w), t in zip(NEG_STEPS, tanhs):
+        dneg = dneg - (h / w) * (1.0 - t * t)
+    return dpos - dneg
+
+
+def u_pos(z):
+    return _pos(z, _pos_terms(z))
+
+
+def u_neg(z):
+    return _neg(_neg_terms(z))
 
 
 def ocv(z):
@@ -102,7 +89,13 @@ def ocv(z):
 
 
 def docv_dz(z):
-    return du_pos_dz(z) - du_neg_dz(z)
+    return _slope(z, _pos_terms(z), _neg_terms(z))
+
+
+def ocv_and_slope(z):
+    """ocv(z) and docv_dz(z), bit for bit, from one set of terms."""
+    tp, tn = _pos_terms(z), _neg_terms(z)
+    return _pos(z, tp) - _neg(tn), _slope(z, tp, tn)
 
 
 # --- pair algebra ---------------------------------------------------------
@@ -130,43 +123,31 @@ def pair_state(z1, z2, r1, r2, i_total):
 # [-1e-9, 1 + 1e-9] after a step and is turned into an error by the caller.
 #
 # The recursion x_{k+1} = Phi(x_k) is solved a window at a time by Newton's
-# method on the whole window. From a guess x, the defect
-# Phi(x_k) - x_{k+1} drives the correction delta_{k+1} = J_k delta_k +
-# defect_k (delta_0 = 0, J_k = dPhi/dx at x_k), a linear recurrence solved
-# by a log-depth doubling scan of its affine maps. The corrected states are
-# then summed step by step from corrected increments, so each one is
-# rounded as the RK4 step itself rounds it. States up to the first nonzero
-# defect are the stepping loop's own, bit for bit, and are kept; Newton goes
-# on over the rest of the window. The result is the loop's trajectory
-# exactly, not to a tolerance: the features downstream react to a
-# last-digit change of one trace sample.
+# method on the whole window. A window's first guess repeats its first RK4
+# increment. Each iteration takes the RK4 step from every state at once;
+# the defect d_k = Phi(x_k) - x_{k+1} drives the correction
+# delta_{k+1} = (I + u rho_k^T) delta_k + d_k, delta_0 = 0, where the step
+# Jacobian dPhi/dx = I + u rho_k^T has a fixed u. So delta_k = D_k + u S_k,
+# with D the running sum of the defects and the scalar S_{k+1} =
+# (1 + a_k) S_k + b_k, a_k = u.rho_k, b_k = rho_k.D_k, S_0 = 0: one cumprod
+# and one cumsum. The corrected states are summed step by step from
+# corrected increments, so each one is rounded as the RK4 step itself
+# rounds it. The states up to the first nonzero defect are the stepping
+# loop's own, bit for bit, and so is the step from the last of them: each
+# iteration keeps those states, at least one, and goes on from that step.
+# A trial state outside the OCV's domain gives a non-finite defect; the
+# window is cut before it. The result is the loop's trajectory exactly,
+# not to a tolerance: the features downstream react to a last-digit change
+# of one trace sample.
 
 WINDOW = 1024        # most steps solved at once; ~0.6 kB of work per step
-MAX_NEWTON = 12      # iterations before a window is retried at half length
-
-
-def _affine_scan(jac, defect):
-    """delta_1..delta_m of delta_{k+1} = jac[:, :, k] @ delta_k + defect[:, k]
-    with delta_0 = 0, by recursive doubling of the affine maps; jac
-    (2, 2, m) is overwritten."""
-    a, b = jac, defect.copy()
-    m = b.shape[1]
-    d = 1
-    while d < m:
-        # compose each map with the one d steps before it
-        b[:, d:] = a[:, 0, d:] * b[0, :-d] + a[:, 1, d:] * b[1, :-d] + b[:, d:]
-        if 2 * d < m:
-            a[:, :, d:] = (a[:, 0:1, d:] * a[None, 0, :, :-d]
-                           + a[:, 1:2, d:] * a[None, 1, :, :-d])
-        d *= 2
-    return b
 
 
 def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
              dt, n_max, v_cutoff, soc_floor, t_max):
     caps = np.array([[c1_as], [c2_as]], dtype=float)
     # the rates are (i1 / c1, (i_total - i1) / c2), so each stage's rate
-    # Jacobian is the rank-one dk_di1 w^T with w = di1/dz
+    # Jacobian is the rank-one u w^T with u = dk_di1 and w = di1/dz
     dk_di1 = np.array([[1.0], [-1.0]]) / caps
     r_tot = r1 + r2
 
@@ -200,23 +181,31 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         steps[:, 1:] = inc
         return np.add.accumulate(steps, axis=1)
 
-    def newton(x, inc, rho, defect):
-        """x after one Newton step, its states summed from corrected
-        increments so that each is rounded as an RK4 step rounds it."""
-        delta = np.zeros_like(inc)
-        jac = np.eye(2)[:, :, None] + dk_di1[:, :, None] * rho[None, :, :-1]
-        delta[:, 1:] = _affine_scan(jac, defect[:, :-1])
-        return replay(x[:, 0], inc + dk_di1 * (rho * delta).sum(0))
+    def guess(x0):
+        """A window from x0 of its first RK4 increment, repeated."""
+        end = min(start + WINDOW, n_max, max(last, start + 1))
+        return replay(x0, np.repeat(step(x0[:, None])[0], end - start, 1))
 
-    def record(start, x, c1, c2, v):
-        """Store samples start.. of states x[:, :-1]; the index of the first
-        one that ends the run, and its reason, or None."""
+    def newton(x0, inc, rho, defect):
+        """The states from x0 after one Newton step. defect[:, k] is the
+        defect of the step into the state inc[:, k] steps from, so that
+        state's correction is delta_k = D_k + dk_di1 S_k, D the running sum
+        of the defects, and inc[:, k] gains dk_di1 rho_k.delta_k."""
+        d = np.cumsum(defect, axis=1)
+        a = (dk_di1 * rho).sum(0)
+        g = np.cumprod(1.0 + a)
+        s = g * np.cumsum((rho * d).sum(0) / g)     # S_1..S_m
+        # rho_k.delta_k = b_k + a_k S_k = S_{k+1} - S_k
+        return replay(x0, inc + dk_di1 * np.diff(s, prepend=0.0))
+
+    def record(x, nxt, c1, c2, v):
+        """Store samples start.. of states x with successors nxt; the index
+        of the first one that ends the run, and its reason, or None."""
         span = slice(start, start + len(v))
-        z1[span], z2[span] = x[:, :-1]
+        z1[span], z2[span] = x
         i1[span], i2[span], vt[span] = c1, c2, v
-        nxt = x[:, 1:]
         codes = np.select(
-            [v <= v_cutoff, x[:, :-1].min(0) <= soc_floor,
+            [v <= v_cutoff, x.min(0) <= soc_floor,
              np.arange(span.start, span.stop) * dt >= t_max,
              ~((nxt >= -1e-9) & (nxt <= 1.0 + 1e-9)).all(0)], [1, 2, 3, 4])
         hits = np.flatnonzero(codes)
@@ -233,37 +222,28 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     last = int(np.ceil((bound - mean_0) / mean_step)) + 2
 
     z1, z2, i1, i2, vt = (np.empty(n_max) for _ in range(5))
-    x = np.array([[z1_0], [z2_0]], dtype=float)
-    start, length = 0, WINDOW
-    # trial iterates of a window may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
+    start = 0
+    # trial states of a window may overflow, and the running product g
+    # of a long window underflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = guess(np.array([z1_0, z2_0], dtype=float))
         while True:
-            if x.shape[1] == 1:
-                # a new window from its first RK4 increment, repeated
-                end = min(start + length, n_max, max(last, start + 1))
-                x = replay(x[:, 0], np.repeat(step(x)[0], end - start, 1))
-                tries = 0
             inc, rho, c1, c2, v = step(x[:, :-1])
-            defect = (x[:, :-1] + inc) - x[:, 1:]
+            nxt = x[:, :-1] + inc
+            defect = nxt - x[:, 1:]
             m = defect.shape[1]
-            # the leading steps with no defect are the loop's own; one step
-            # from an exact state is exact, finite or not
-            exact = 1 if m == 1 else int(np.flatnonzero(
-                np.any(defect != 0.0, axis=0)).min(initial=m))
-            stop = record(start, x[:, :exact + 1], c1[:exact], c2[:exact],
-                          v[:exact])
-            start += exact
+            cut = int(np.flatnonzero(
+                ~np.isfinite(defect).all(0)).min(initial=m))
+            keep = min(m, 1 + int(np.flatnonzero(
+                np.any(defect != 0.0, axis=0)).min(initial=m)))
+            stop = record(x[:, :keep], nxt[:, :keep], c1[:keep], c2[:keep],
+                          v[:keep])
+            start += keep
             if stop or start == n_max:
                 n, reason = (stop[0] + 1, stop[1]) if stop else (n_max, 0)
                 return z1[:n], z2[:n], i1[:n], i2[:n], vt[:n], n, reason
-            if exact == m:
-                x = x[:, m:]
-                length = min(2 * length, WINDOW)
-                continue
-            tries += 1
-            if tries > MAX_NEWTON or not np.isfinite(defect[:, exact:]).all():
-                x = x[:, exact:exact + 1]
-                length = max(1, (m - exact) // 2)
-                continue
-            x = newton(x[:, exact:], inc[:, exact:], rho[:, exact:],
-                       defect[:, exact:])
+            if keep >= cut:
+                x = guess(nxt[:, keep - 1])
+            else:
+                x = newton(nxt[:, keep - 1], inc[:, keep:cut],
+                           rho[:, keep:cut], defect[:, keep - 1:cut - 1])

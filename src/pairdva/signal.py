@@ -81,9 +81,12 @@ def resample_uniform_q(trace, dq: float, source: str = "pair"):
             k = int(np.argmin(finite))
             raise FormatError(f"{name} column for source {source!r} holds "
                               f"the non-finite value {col[k]:g} at sample {k}")
-    if np.any(np.diff(q_raw) <= 0.0):
+    flat = np.flatnonzero(np.diff(q_raw) <= 0.0)
+    if flat.size:
+        k = int(flat[0]) + 1
         raise FormatError(f"charge column for source {source!r} is not "
-                          "strictly increasing")
+                          f"strictly increasing: {float(q_raw[k])!r} at "
+                          f"sample {k} after {float(q_raw[k - 1])!r}")
     n = int(np.floor((q_raw[-1] - q_raw[0]) / dq)) + 1
     if n < 2:
         raise SpanError("charge span shorter than one grid step")

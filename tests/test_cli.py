@@ -237,6 +237,20 @@ def test_non_finite_trace_value_rejected(workdir, sim_dir):
     assert "vt_V" in doc["message"] and "line 5001" in doc["message"]
 
 
+def test_repeated_timestamp_names_sample(workdir):
+    # a repeated t_s gives two samples with the same charge
+    bad = workdir / "repeated_t.csv"
+    bad.write_text("t_s,i_total_A,vt_V\n0,-40,4.1\n1,-40,4.0\n"
+                   "1,-40,3.95\n2,-40,3.9\n")
+    proc = run_cli(["features", str(bad)], cwd=workdir)
+    assert proc.returncode == 2
+    doc = stderr_json(proc)
+    assert doc["error"] == "FormatError"
+    assert doc["message"].endswith(
+        "not strictly increasing: 0.011111111111111112 at sample 2 after "
+        "0.011111111111111112")
+
+
 @pytest.mark.parametrize("name,row,where", [
     ("short_row", "1,-40", ["line 3", "vt_V"]),
     ("word_cell", "1,-40,abc", ["line 3", "vt_V", "'abc'"]),

@@ -49,6 +49,11 @@ def test_resample_rejects_flat_charge_column():
     tr = synthetic_trace(np.zeros(100), np.linspace(4.0, 3.0, 100))
     with pytest.raises(FormatError):
         resample_uniform_q(tr, dq=0.05)
+    q = np.linspace(0.0, 10.0, 100)
+    q[41] = q[40]
+    with pytest.raises(FormatError, match=r"sample 41 after 4\.040404"):
+        resample_uniform_q(synthetic_trace(q, np.linspace(4.0, 3.0, 100)),
+                           dq=0.05)
 
 
 @pytest.mark.parametrize("column", ["q", "v"])
