@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_feat = command("features", cmd_features,
                      "extract peak features from a trace CSV")
-    p_feat.add_argument("trace", help="trace CSV (t_s,i_total_A,vt_V needed)")
+    p_feat.add_argument("trace", help="trace CSV ("
+                        f"{','.join(fileio.REQUIRED_TRACE_COLUMNS)} needed)")
     _add_keys(p_feat, _keys(AnalysisConfig))
     p_feat.add_argument("--out", dest="out",
                         help="output file name, or - for stdout (default)")

@@ -263,7 +263,7 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
 def extract_features(trace, analysis: AnalysisConfig = None) -> PeakFeatures:
     """Full feature extraction for one discharge trace (pair signals only)."""
     analysis = analysis if analysis is not None else AnalysisConfig()
-    curve = dvdq_curve(trace, analysis.smoothing, source="pair")
+    curve = dvdq_curve(trace, analysis.smoothing)
     win = downselect_window(curve, analysis.v_lo, analysis.v_hi)
     peak = peak_height(win)
     fit = fit_positive_surrogate(win.q, win.v,

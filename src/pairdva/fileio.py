@@ -19,13 +19,29 @@ from .kernels import backend
 from .pairsim import SimTrace
 from .sweep import FeatureMap, IdentificationResult, ProductBin, ProductCurve
 
-TRACE_HEADER = "t_s,i_total_A,i1_A,i2_A,z1,z2,q_pair_Ah,q1_Ah,q2_Ah,vt_V"
+# The trace CSV schema: each column's SimTrace field and its role, in the
+# order the writer puts them. A reader needs the "pair" columns, rebuilds
+# the "charge" column from the current when it is missing, and zero-fills
+# a missing "cell" column; the trace carries both cells only when all six
+# are present.
+TRACE_COLUMNS = {
+    "t_s": ("t", "pair"), "i_total_A": ("i_total", "pair"),
+    "i1_A": ("i1", "cell"), "i2_A": ("i2", "cell"),
+    "z1": ("z1", "cell"), "z2": ("z2", "cell"),
+    "q_pair_Ah": ("q_pair", "charge"),
+    "q1_Ah": ("q1", "cell"), "q2_Ah": ("q2", "cell"),
+    "vt_V": ("v_t", "pair"),
+}
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+REQUIRED_TRACE_COLUMNS = tuple(
+    name for name, (_, role) in TRACE_COLUMNS.items() if role == "pair")
+_CELL_COLUMNS = tuple(
+    name for name, (_, role) in TRACE_COLUMNS.items() if role == "cell")
+
 FEATUREMAP_HEADER = "alpha,beta,product,height_V_per_Ah,skewness,status"
 PRODUCT_CURVE_HEADER = ("product,mean_height,mean_skewness,spread_height,"
                         "spread_skewness,n")
 
-_TRACE_COLUMNS = TRACE_HEADER.split(",")
-_REQUIRED_COLUMNS = ("t_s", "i_total_A", "vt_V")
 _PRODUCT_CURVE_COLUMNS = PRODUCT_CURVE_HEADER.split(",")
 
 
@@ -86,8 +102,7 @@ def sidecar(kind: str, run_config: dict, **fields) -> dict:
 # --- simulation traces -----------------------------------------------------
 
 def write_trace_csv(trace: SimTrace, path):
-    cols = (trace.t, trace.i_total, trace.i1, trace.i2, trace.z1, trace.z2,
-            trace.q_pair, trace.q1, trace.q2, trace.v_t)
+    cols = [getattr(trace, field) for field, _ in TRACE_COLUMNS.values()]
     rows = zip(*(np.asarray(c, dtype=float).tolist() for c in cols))
     _write_rows(path, TRACE_HEADER, rows, len(cols))
 
@@ -162,9 +177,10 @@ def _numeric_rows(path, text, lines, header):
 
 
 def read_trace_csv(path) -> SimTrace:
-    """Read a trace CSV; only t_s, i_total_A, vt_V are required.
+    """Read a trace CSV; only the pair columns of TRACE_COLUMNS are
+    required.
 
-    Missing charge columns are rebuilt by integrating |i_total| over time,
+    A missing charge column is rebuilt by integrating |i_total| over time,
     so measured pair-level data fits through the same format.
     """
     path = Path(path)
@@ -176,43 +192,30 @@ def read_trace_csv(path) -> SimTrace:
     if not lines:
         raise FormatError(f"{path} is empty")
     header = [h.strip() for h in lines[0].split(",")]
-    unknown = set(header) - set(_TRACE_COLUMNS)
+    unknown = set(header) - set(TRACE_COLUMNS)
     if unknown:
         raise FormatError(f"unknown trace columns: {sorted(unknown)}")
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise FormatError(f"repeated trace columns: {repeated}")
-    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+    missing = [c for c in REQUIRED_TRACE_COLUMNS if c not in header]
     if missing:
         raise FormatError(f"trace file missing required columns: {missing}")
     data = _numeric_rows(path, text, lines, header)
     if data.shape[0] < 2:
         raise FormatError(f"{path} has no usable data rows")
-    col = {name: data[:, i] for i, name in enumerate(header)}
-
-    t = col["t_s"]
-    i_total = col["i_total_A"]
-    v_t = col["vt_V"]
-    n = len(t)
-    if "q_pair_Ah" in col:
-        q_pair = col["q_pair_Ah"]
-    else:
+    fields = dict(zip((TRACE_COLUMNS[name][0] for name in header), data.T))
+    if "q_pair" not in fields:
         # cumulative trapezoid of |i| over t, from 0 at the first sample
-        i_abs = np.abs(i_total)
-        q_pair = np.concatenate((
+        t, i_abs = fields["t"], np.abs(fields["i_total"])
+        fields["q_pair"] = np.concatenate((
             [0.0], np.cumsum(np.diff(t) * (i_abs[1:] + i_abs[:-1]) / 2.0)
         )) / 3600.0
-    per_cell = all(name in col for name in
-                   ("i1_A", "i2_A", "z1", "z2", "q1_Ah", "q2_Ah"))
-    zeros = np.zeros(n)
+    zeros = np.zeros(data.shape[0])
     return SimTrace(
-        t=t, i_total=i_total,
-        i1=col.get("i1_A", zeros), i2=col.get("i2_A", zeros),
-        z1=col.get("z1", zeros), z2=col.get("z2", zeros),
-        q_pair=q_pair,
-        q1=col.get("q1_Ah", zeros), q2=col.get("q2_Ah", zeros),
-        v_t=v_t, reason="unknown", params=None, config=None,
-        has_cell2=per_cell)
+        **{f: fields.get(f, zeros) for f, _ in TRACE_COLUMNS.values()},
+        reason="unknown", params=None, config=None,
+        has_cell2=all(name in header for name in _CELL_COLUMNS))
 
 
 # --- features ----------------------------------------------------------------

@@ -199,14 +199,12 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         return replay(x0, inc + dk_di1 * np.diff(s, prepend=0.0))
 
     def record(x, nxt, c1, c2, v):
-        """Store samples start.. of states x with successors nxt; the index
+        """Copy samples start.. of states x with successors nxt; the index
         of the first one that ends the run, and its reason, or None."""
-        span = slice(start, start + len(v))
-        z1[span], z2[span] = x
-        i1[span], i2[span], vt[span] = c1, c2, v
+        kept.append((x.copy(), c1.copy(), c2.copy(), v.copy()))
         codes = np.select(
             [v <= v_cutoff, x.min(0) <= soc_floor,
-             np.arange(span.start, span.stop) * dt >= t_max,
+             np.arange(start, start + len(v)) * dt >= t_max,
              ~((nxt >= -1e-9) & (nxt <= 1.0 + 1e-9)).all(0)], [1, 2, 3, 4])
         hits = np.flatnonzero(codes)
         if hits.size:
@@ -221,7 +219,9 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     bound = soc_floor if i_total < 0.0 else 1.0 + 1e-9
     last = int(np.ceil((bound - mean_0) / mean_step)) + 2
 
-    z1, z2, i1, i2, vt = (np.empty(n_max) for _ in range(5))
+    # copies of the recorded samples, joined at the end: the memory follows
+    # the run's length, not n_max, and a window's other states are freed
+    kept = []
     start = 0
     # trial states of a window may overflow, and the running product g
     # of a long window underflow
@@ -241,7 +241,9 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
             start += keep
             if stop or start == n_max:
                 n, reason = (stop[0] + 1, stop[1]) if stop else (n_max, 0)
-                return z1[:n], z2[:n], i1[:n], i2[:n], vt[:n], n, reason
+                z, i1, i2, vt = (np.concatenate(part, axis=-1)[..., :n]
+                                 for part in zip(*kept))
+                return z[0], z[1], i1, i2, vt, n, reason
             if keep >= cut:
                 x = guess(nxt[:, keep - 1])
             else:

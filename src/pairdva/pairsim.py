@@ -7,6 +7,7 @@ integrates dz_i/dt = i_i / (3600 * C_i) with the algebraic current split
 re-evaluated at every RK4 stage.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,13 @@ SECONDS_PER_HOUR = 3600.0
 _REASONS = {1: "v_cutoff", 2: "soc_floor", 3: "t_max"}
 
 
+def _require_positive(**values):
+    """ConfigError naming the first value that is not positive and finite."""
+    for name, value in values.items():
+        if not (0.0 < value < math.inf):
+            raise ConfigError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class CellParams:
     """One cell: capacity in amp-hours, ohmic resistance in ohms."""
@@ -28,10 +36,8 @@ class CellParams:
     resistance_ohm: float
 
     def __post_init__(self):
-        if not (self.capacity_ah > 0.0):
-            raise ConfigError("cell capacity must be positive")
-        if not (self.resistance_ohm > 0.0):
-            raise ConfigError("cell resistance must be positive")
+        _require_positive(capacity_ah=self.capacity_ah,
+                          resistance_ohm=self.resistance_ohm)
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,7 @@ class SimConfig:
     t_max: float = field(default=None, metadata={"key": "t_max_s"})
 
     def __post_init__(self):
-        if not (self.c_rate > 0.0):
-            raise ConfigError("c_rate must be positive")
-        if not (self.dt > 0.0):
-            raise ConfigError("dt must be positive")
+        _require_positive(c_rate=self.c_rate, dt=self.dt)
         if not (0.0 < self.z0 <= 1.0):
             raise ConfigError("z0 must lie in (0, 1]")
         if not (0.0 <= self.soc_floor <= 0.1):
@@ -99,8 +102,9 @@ class SimConfig:
         if self.t_max is None:
             object.__setattr__(
                 self, "t_max", 5.0 * (1.0 / self.c_rate) * SECONDS_PER_HOUR)
-        if not (self.t_max > 0.0):
-            raise ConfigError("t_max must be positive")
+        _require_positive(t_max=self.t_max)
+        if not math.isfinite(self.t_max / self.dt):
+            raise ConfigError("t_max / dt must be finite")
         lo, hi = kernels.ocv(0.0), kernels.ocv(1.0)
         if not (lo <= self.v_cutoff <= hi):
             raise ConfigError(
@@ -143,10 +147,10 @@ def make_pair(alpha: float, beta: float, c_total: float = PairSpec.c_total,
     """
     if not (0.0 < alpha <= 1.0):
         raise ConfigError("alpha must lie in (0, 1] (cell2 is the weak cell)")
-    if not (beta >= 1.0):
-        raise ConfigError("beta must be >= 1 (cell2 is the weak cell)")
-    if not (c_total > 0.0) or not (r_parallel > 0.0):
-        raise ConfigError("c_total and r_parallel must be positive")
+    if not (1.0 <= beta < math.inf):
+        raise ConfigError(
+            "beta must be >= 1 and finite (cell2 is the weak cell)")
+    _require_positive(c_total=c_total, r_parallel=r_parallel)
     c1 = c_total / (1.0 + alpha)
     c2 = c_total * alpha / (1.0 + alpha)
     r1 = r_parallel * (1.0 + beta) / beta
@@ -235,8 +239,14 @@ def single_cell_reference(capacity_ah: float, resistance_ohm: float,
     # constant current: all four RK4 stages coincide, so every step adds one
     # increment; accumulated in step order, SOC matches a stepping loop's
     k1 = i_total / (capacity_ah * SECONDS_PER_HOUR)
-    steps = np.full(_n_max(config),
-                    (config.dt / 6.0) * (k1 + 2.0 * k1 + 2.0 * k1 + k1))
+    inc = (config.dt / 6.0) * (k1 + 2.0 * k1 + 2.0 * k1 + k1)
+    # each step rounds SOC by less than 2**-52, so no step past
+    # ceil((z0 - soc_floor) / (|inc| - 2**-52)) is needed to reach the floor
+    n = _n_max(config)
+    if -inc > 2.0 ** -52:
+        n = min(n, max(0, math.ceil((config.z0 - config.soc_floor)
+                                    / (-inc - 2.0 ** -52))) + 2)
+    steps = np.full(n, inc)
     steps[0] = config.z0
     z = np.add.accumulate(steps)
     t = np.arange(len(z)) * config.dt

@@ -15,8 +15,6 @@ from .errors import ConfigError, EmptyWindowError, FormatError, NoPeakError, Spa
 
 VOLTAGE_WINDOW = (3.7, 3.9)
 
-_SOURCES = ("pair", "cell-1", "cell-2")
-
 
 @dataclass(frozen=True)
 class SmoothingConfig:
@@ -40,8 +38,6 @@ class DvDqCurve:
     v: np.ndarray
     dvdq: np.ndarray
     dq: float
-    source: str
-    smoothing: SmoothingConfig = None
 
     def __len__(self):
         return len(self.q)
@@ -53,40 +49,28 @@ class PeakSample(NamedTuple):
     v_at_peak: float
 
 
-def _source_columns(trace, source):
-    if source == "pair":
-        return trace.q_pair, trace.v_t
-    if source == "cell-1":
-        return trace.q1, trace.v_t
-    if source == "cell-2":
-        if not trace.has_cell2:
-            raise ConfigError("trace carries no cell-2 data")
-        return trace.q2, trace.v_t
-    raise ConfigError(f"unknown source {source!r}; expected one of {_SOURCES}")
-
-
-def resample_uniform_q(trace, dq: float, source: str = "pair"):
-    """Linearly interpolate voltage onto a uniform charge grid.
+def resample_uniform_q(trace, dq: float):
+    """Linearly interpolate v_t onto a uniform grid of the pair charge.
 
     Returns (q, v) arrays spanning the trace's charge range at spacing dq.
     """
     if not (dq > 0.0):
         raise ConfigError("dq must be positive")
-    q_raw, v_raw = _source_columns(trace, source)
+    q_raw, v_raw = trace.q_pair, trace.v_t
     if len(q_raw) < 2:
         raise SpanError("trace too short to resample")
     for name, col in (("charge", q_raw), ("voltage", v_raw)):
         finite = np.isfinite(col)
         if not finite.all():
             k = int(np.argmin(finite))
-            raise FormatError(f"{name} column for source {source!r} holds "
-                              f"the non-finite value {col[k]:g} at sample {k}")
+            raise FormatError(f"{name} column holds the non-finite value "
+                              f"{col[k]:g} at sample {k}", stage="resample")
     flat = np.flatnonzero(np.diff(q_raw) <= 0.0)
     if flat.size:
         k = int(flat[0]) + 1
-        raise FormatError(f"charge column for source {source!r} is not "
-                          f"strictly increasing: {float(q_raw[k])!r} at "
-                          f"sample {k} after {float(q_raw[k - 1])!r}")
+        raise FormatError(f"charge column is not strictly increasing: "
+                          f"{float(q_raw[k])!r} at sample {k} after "
+                          f"{float(q_raw[k - 1])!r}", stage="resample")
     n = int(np.floor((q_raw[-1] - q_raw[0]) / dq)) + 1
     if n < 2:
         raise SpanError("charge span shorter than one grid step")
@@ -165,22 +149,20 @@ def savgol_smooth(y, window: int, order: int) -> np.ndarray:
     return out
 
 
-def dvdq_curve(trace, config: SmoothingConfig = None,
-               source: str = "pair") -> DvDqCurve:
-    """Smooth the resampled voltage and differentiate to -dV/dQ.
+def dvdq_curve(trace, config: SmoothingConfig = None) -> DvDqCurve:
+    """Smooth the resampled pair voltage and differentiate to -dV/dQ.
 
     Central differences inside, one-sided at the ends.
     """
     config = config if config is not None else SmoothingConfig()
-    q, v = resample_uniform_q(trace, config.dq_ah, source)
+    q, v = resample_uniform_q(trace, config.dq_ah)
     if len(q) < 2 * config.sg_window:
         raise SpanError(
             f"{len(q)} samples; need at least twice the filter window "
             f"({2 * config.sg_window})")
     v_smooth = savgol_smooth(v, config.sg_window, config.sg_order)
     dvdq = -np.gradient(v_smooth, config.dq_ah)
-    return DvDqCurve(q=q, v=v, dvdq=dvdq, dq=config.dq_ah, source=source,
-                     smoothing=config)
+    return DvDqCurve(q=q, v=v, dvdq=dvdq, dq=config.dq_ah)
 
 
 def downselect_window(curve: DvDqCurve, v_lo: float = VOLTAGE_WINDOW[0],
@@ -201,8 +183,7 @@ def downselect_window(curve: DvDqCurve, v_lo: float = VOLTAGE_WINDOW[0],
     run = max(runs, key=len)
     sl = slice(run[0], run[-1] + 1)
     return DvDqCurve(q=curve.q[sl].copy(), v=curve.v[sl].copy(),
-                     dvdq=curve.dvdq[sl].copy(), dq=curve.dq,
-                     source=curve.source, smoothing=curve.smoothing)
+                     dvdq=curve.dvdq[sl].copy(), dq=curve.dq)
 
 
 def peak_height(curve: DvDqCurve) -> PeakSample:

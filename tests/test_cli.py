@@ -141,6 +141,20 @@ def test_invalid_ratio_exits_with_config_error(workdir):
     assert doc["stage"] == "config"
 
 
+@pytest.mark.parametrize("flags,field", [
+    (["--t-max-s", "inf"], "t_max"), (["--c-total-ah", "inf"], "c_total"),
+    (["--r-parallel-ohm", "inf"], "r_parallel"), (["--dt-s", "inf"], "dt"),
+    (["--c-rate", "inf", "--t-max-s", "100"], "c_rate")])
+def test_non_finite_setting_exits_with_config_error(workdir, flags, field):
+    proc = run_cli(["simulate", *flags, "--outdir", "non_finite"],
+                   cwd=workdir)
+    assert proc.returncode == 2, proc.stderr
+    doc = stderr_json(proc)
+    assert (doc["error"], doc["stage"]) == ("ConfigError", "config")
+    assert doc["message"] == f"{field} must be positive and finite"
+    assert not (workdir / "non_finite").exists()
+
+
 def test_unknown_config_key_rejected(workdir, sim_dir):
     # workers was a config key while the sweep had a thread pool
     for line in ("frobnicate = 1", "workers = 2"):
@@ -246,6 +260,8 @@ def test_repeated_timestamp_names_sample(workdir):
     assert proc.returncode == 2
     doc = stderr_json(proc)
     assert doc["error"] == "FormatError"
+    # the reader accepts the file; the resample stage rejects its charge
+    assert doc["stage"] == "resample"
     assert doc["message"].endswith(
         "not strictly increasing: 0.011111111111111112 at sample 2 after "
         "0.011111111111111112")

@@ -33,18 +33,6 @@ def test_resample_linear_signal_is_exact():
     assert np.allclose(v, 4.2 - 0.01 * q, rtol=0.0, atol=1e-12)
 
 
-def test_resample_source_selects_charge_column():
-    q_raw = np.linspace(0.0, 80.0, 801)
-    v_raw = 4.2 - 0.01 * q_raw
-    tr = synthetic_trace(q_raw, v_raw)
-    q_pair, _ = resample_uniform_q(tr, dq=0.1, source="pair")
-    q_cell, _ = resample_uniform_q(tr, dq=0.1, source="cell-1")
-    assert q_pair[-1] == pytest.approx(80.0)
-    assert q_cell[-1] == pytest.approx(40.0)
-    with pytest.raises(ConfigError):
-        resample_uniform_q(tr, dq=0.1, source="cell-3")
-
-
 def test_resample_rejects_flat_charge_column():
     tr = synthetic_trace(np.zeros(100), np.linspace(4.0, 3.0, 100))
     with pytest.raises(FormatError):
@@ -62,8 +50,9 @@ def test_resample_rejects_non_finite_samples(column, bad):
     q = np.linspace(0.0, 10.0, 100)
     v = np.linspace(4.0, 3.0, 100)
     {"q": q, "v": v}[column][40] = bad
-    with pytest.raises(FormatError, match="sample 40"):
+    with pytest.raises(FormatError, match="sample 40") as err:
         resample_uniform_q(synthetic_trace(q, v), dq=0.05)
+    assert err.value.stage == "resample"
 
 
 # --- smoothing filter ----------------------------------------------------------
@@ -207,8 +196,7 @@ def test_no_peak_on_monotone_derivative():
 
 def test_tied_peaks_resolve_to_smaller_q():
     curve = DvDqCurve(q=np.arange(5.0), v=np.linspace(3.9, 3.7, 5),
-                      dvdq=np.array([0.0, 1.0, 0.0, 1.0, 0.0]), dq=1.0,
-                      source="pair", smoothing=SmoothingConfig())
+                      dvdq=np.array([0.0, 1.0, 0.0, 1.0, 0.0]), dq=1.0)
     assert peak_height(curve).q_at_peak == 1.0
 
 
