@@ -71,11 +71,7 @@ class PeakFeatures:
 class SkewnessResult:
     skewness: float
     mu: float
-    sigma: float
-    q: np.ndarray          # surviving grid points
-    weights: np.ndarray    # renormalized masses on the survivors
-    density: np.ndarray    # normalized dN/dq over the full window
-    kept: np.ndarray       # boolean mask of survivors
+    weights: np.ndarray    # renormalized masses on the samples kept
 
 
 def _model(theta, q):
@@ -255,9 +251,8 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
             f"(need {MIN_SURVIVORS})")
     w = density[kept] * dq
     w = w / w.sum()
-    mu, sigma, skew = _weighted_moments(q[kept], w)
-    return SkewnessResult(skewness=skew, mu=mu, sigma=sigma, q=q[kept],
-                          weights=w, density=density, kept=kept)
+    mu, _, skew = _weighted_moments(q[kept], w)
+    return SkewnessResult(skewness=skew, mu=mu, weights=w)
 
 
 def extract_features(trace, analysis: AnalysisConfig = None) -> PeakFeatures:

@@ -6,6 +6,8 @@ solved a window of steps at a time by Newton's method on the whole window
 instead of one Python step at a time, to the bits of the step-by-step loop.
 """
 
+import math
+
 import numpy as np
 
 
@@ -143,6 +145,17 @@ def pair_state(z1, z2, r1, r2, i_total):
 WINDOW = 1024        # most steps solved at once; ~0.6 kB of work per step
 
 
+def step_bound(distance, step, n_max):
+    """Steps a sum moving by step each step takes to move by distance (of
+    the same sign), plus two, at most n_max. Each step rounds the sum by
+    less than 2**-52, so a step no larger than that gives n_max."""
+    margin = abs(step) - 2.0 ** -52
+    if not margin > 0.0:
+        return n_max
+    return min(n_max,
+               max(0, math.ceil(distance / math.copysign(margin, step))) + 2)
+
+
 def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
              dt, n_max, v_cutoff, soc_floor, t_max):
     caps = np.array([[c1_as], [c2_as]], dtype=float)
@@ -217,7 +230,7 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     mean_0 = (c1_as * z1_0 + c2_as * z2_0) / (c1_as + c2_as)
     mean_step = dt * i_total / (c1_as + c2_as)
     bound = soc_floor if i_total < 0.0 else 1.0 + 1e-9
-    last = int(np.ceil((bound - mean_0) / mean_step)) + 2
+    last = step_bound(bound - mean_0, mean_step, n_max)
 
     # copies of the recorded samples, joined at the end: the memory follows
     # the run's length, not n_max, and a window's other states are freed

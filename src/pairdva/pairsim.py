@@ -54,10 +54,6 @@ class PairParams:
             raise ConfigError("cell2 resistance must be >= cell1 resistance")
 
     @property
-    def r_tot(self) -> float:
-        return self.cell1.resistance_ohm + self.cell2.resistance_ohm
-
-    @property
     def alpha(self) -> float:
         return self.cell2.capacity_ah / self.cell1.capacity_ah
 
@@ -240,12 +236,8 @@ def single_cell_reference(capacity_ah: float, resistance_ohm: float,
     # increment; accumulated in step order, SOC matches a stepping loop's
     k1 = i_total / (capacity_ah * SECONDS_PER_HOUR)
     inc = (config.dt / 6.0) * (k1 + 2.0 * k1 + 2.0 * k1 + k1)
-    # each step rounds SOC by less than 2**-52, so no step past
-    # ceil((z0 - soc_floor) / (|inc| - 2**-52)) is needed to reach the floor
-    n = _n_max(config)
-    if -inc > 2.0 ** -52:
-        n = min(n, max(0, math.ceil((config.z0 - config.soc_floor)
-                                    / (-inc - 2.0 ** -52))) + 2)
+    n = kernels.step_bound(config.soc_floor - config.z0, inc,
+                           _n_max(config))
     steps = np.full(n, inc)
     steps[0] = config.z0
     z = np.add.accumulate(steps)

@@ -195,16 +195,21 @@ def _near_one_resolution(p, ss):
 
 
 def identify_product(features: PeakFeatures, curve: ProductCurve,
-                     height_tol: float = None,
                      skew_resolution: float = None) -> IdentificationResult:
     """Invert measured (height, skewness) to a product estimate.
 
-    Height crossings of the binned mean-height curve give the candidates
-    (at most two for the expected single-humped shape); the candidate whose
-    interpolated skewness is nearest the measured value wins. The result is
-    flagged ambiguous when the top candidates' skewness values differ by
-    less than skew_resolution. A non-finite height or skewness raises
-    IdentifyError naming the field.
+    One pass over the curve's rows collects the candidates: a row whose
+    mean height equals the measured height gives its own product and
+    skewness, a strict sign change to the next row gives the interpolated
+    crossing (at most two for the expected single-humped shape), and a
+    candidate within 1e-9 of one already found is skipped. With none, the
+    fallbacks take a row's own height spread as the tolerance: a height
+    that far above the curve maximum is pinned to the apex row (always
+    ambiguous), else each end row that close is a candidate (a one-row
+    curve gives one). The candidate whose skewness is nearest the measured
+    value wins; the result is ambiguous when the top two skewness values
+    differ by less than skew_resolution. A height matched nowhere, or a
+    non-finite height or skewness, raises IdentifyError.
     """
     rows = curve.rows
     if not rows:
@@ -213,50 +218,40 @@ def identify_product(features: PeakFeatures, curve: ProductCurve,
         value = getattr(features, name)
         if not np.isfinite(value):
             raise IdentifyError(f"measured {name} is {value}, not finite")
-    p = np.array([r.product for r in rows])
-    mh = np.array([r.mean_height for r in rows])
-    ms = np.array([r.mean_skewness for r in rows])
-    sh = np.array([r.spread_height for r in rows])
-    ss = np.array([r.spread_skewness for r in rows])
+    p, mh, ms, sh, ss = np.array(
+        [(r.product, r.mean_height, r.mean_skewness, r.spread_height,
+          r.spread_skewness) for r in rows], dtype=float).T
     if skew_resolution is None:
         skew_resolution = _near_one_resolution(p, ss)
 
     h = features.height
     cands = []
-    for i in range(len(p) - 1):
+    for i in range(len(p)):
         d0 = mh[i] - h
-        d1 = mh[i + 1] - h
         if d0 == 0.0:
-            cands.append((float(p[i]), float(ms[i])))
-        elif d0 * d1 < 0.0:
-            frac = d0 / (d0 - d1)
-            cands.append((float(p[i] + frac * (p[i + 1] - p[i])),
-                          float(ms[i] + frac * (ms[i + 1] - ms[i]))))
-    if len(p) and mh[-1] - h == 0.0:
-        cands.append((float(p[-1]), float(ms[-1])))
-    # merge near-duplicate crossings
-    merged = []
-    for cp, cs in cands:
-        if not any(abs(cp - mp) < 1e-9 for mp, _ in merged):
-            merged.append((cp, cs))
-    cands = merged
+            cand = (p[i], ms[i])
+        elif i + 1 < len(p) and d0 * (mh[i + 1] - h) < 0.0:
+            frac = d0 / (d0 - (mh[i + 1] - h))
+            cand = (p[i] + frac * (p[i + 1] - p[i]),
+                    ms[i] + frac * (ms[i + 1] - ms[i]))
+        else:
+            continue
+        if not any(abs(cand[0] - cp) < 1e-9 for cp, _ in cands):
+            cands.append(cand)
 
     forced_ambiguous = False
-    note = ""
+    note = (f"{len(cands)} height crossing(s); skewness resolution "
+            f"{skew_resolution:.4g}")
     if not cands:
         imax = int(np.argmax(mh))
-        tol_top = height_tol if height_tol is not None else float(sh[imax])
-        if h > mh[imax] and h <= mh[imax] + tol_top:
-            cands = [(float(p[imax]), float(ms[imax]))]
+        if mh[imax] < h <= mh[imax] + sh[imax]:
+            cands = [(p[imax], ms[imax])]
             forced_ambiguous = True
             note = ("measured height at or above the curve maximum; "
                     "product pinned to the flat top")
         else:
-            for iend in (0, len(p) - 1):
-                tol_end = (height_tol if height_tol is not None
-                           else float(sh[iend]))
-                if abs(h - mh[iend]) <= tol_end:
-                    cands.append((float(p[iend]), float(ms[iend])))
+            cands = [(p[i], ms[i]) for i in sorted({0, len(p) - 1})
+                     if abs(h - mh[i]) <= sh[i]]
             if not cands:
                 raise IdentifyError(
                     f"measured height {h:.6g} outside the identification "
@@ -264,19 +259,12 @@ def identify_product(features: PeakFeatures, curve: ProductCurve,
             note = "measured height matched only at a curve endpoint"
 
     s = features.skewness
-    scored = sorted((Candidate(p=cp, skewness=cs, distance=abs(cs - s))
+    scored = sorted((Candidate(p=float(cp), skewness=float(cs),
+                               distance=float(abs(cs - s)))
                      for cp, cs in cands), key=lambda c: c.distance)
-    p_lo, p_hi = float(p.min()), float(p.max())
-    p_hat = min(max(scored[0].p, p_lo), p_hi)
-    if forced_ambiguous:
-        ambiguous = True
-    elif len(scored) >= 2:
-        ambiguous = abs(scored[0].skewness - scored[1].skewness) \
-            < skew_resolution
-    else:
-        ambiguous = False
-    if not note:
-        note = (f"{len(scored)} height crossing(s); skewness resolution "
-                f"{skew_resolution:.4g}")
-    return IdentificationResult(p_hat=float(p_hat), candidates=scored,
+    p_hat = min(max(scored[0].p, float(p.min())), float(p.max()))
+    ambiguous = forced_ambiguous or (
+        len(scored) >= 2
+        and abs(scored[0].skewness - scored[1].skewness) < skew_resolution)
+    return IdentificationResult(p_hat=p_hat, candidates=scored,
                                 ambiguous=bool(ambiguous), note=note)

@@ -155,6 +155,17 @@ def test_non_finite_setting_exits_with_config_error(workdir, flags, field):
     assert not (workdir / "non_finite").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--c-rate", "1e-320", "--t-max-s", "100"], ["--c-total-ah", "1e306"]])
+def test_extreme_finite_setting_has_no_traceback(workdir, flags):
+    # a zero or subnormal SOC step once overflowed the SOC-floor step bound
+    proc = run_cli(["simulate", *flags, "--outdir", "extreme"], cwd=workdir)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode != 0:
+        assert proc.returncode == 2, proc.stderr
+        assert stderr_json(proc)["error"] == "ConfigError"
+
+
 def test_unknown_config_key_rejected(workdir, sim_dir):
     # workers was a config key while the sweep had a thread pool
     for line in ("frobnicate = 1", "workers = 2"):

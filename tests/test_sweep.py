@@ -158,16 +158,62 @@ def test_identify_near_unit_products_flagged(default_curve):
 
 def test_identify_endpoint_fallback(default_curve, baseline_features):
     from dataclasses import replace
-    mh = [r.mean_height for r in default_curve.rows]
+    rows = list(default_curve.rows)
+    # the end rows' own height spread is the endpoint tolerance
+    for i in (0, -1):
+        rows[i] = replace(rows[i], spread_height=6e-5)
+    curve = sweep.ProductCurve(rows=rows)
+    mh = [r.mean_height for r in rows]
     low = min(mh[0], mh[-1]) - 5e-5       # just under the lowest endpoint
     feats = replace(baseline_features, height=low, skewness=0.15)
-    res = identify_product(feats, default_curve, height_tol=6e-5)
+    res = identify_product(feats, curve)
     assert "endpoint" in res.note
     assert res.p_hat in (default_curve.rows[0].product,
                          default_curve.rows[-1].product)
     assert all(c.p in (default_curve.rows[0].product,
                        default_curve.rows[-1].product)
                for c in res.candidates)
+
+
+def _curve(*rows):
+    """A product curve from (product, mean height, mean skewness, spread
+    height) rows."""
+    return sweep.ProductCurve(rows=[
+        sweep.ProductBin(product=p, mean_height=h, mean_skewness=s,
+                         spread_height=sh, spread_skewness=0.0, n=1)
+        for p, h, s, sh in rows])
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_identify_height_equal_to_row_mean_gives_row(baseline_features, i):
+    from dataclasses import replace
+    curve = _curve((0.5, 0.010, -0.2, 0.0), (1.0, 0.015, 0.0, 0.0),
+                   (1.5, 0.012, 0.2, 0.0))
+    row = curve.rows[i]
+    feats = replace(baseline_features, height=row.mean_height,
+                    skewness=row.mean_skewness)
+    res = identify_product(feats, curve)
+    assert res.p_hat == row.product
+    assert res.candidates[0] == (row.product, row.mean_skewness, 0.0)
+
+
+def test_identify_merges_crossings_near_the_apex(baseline_features):
+    from dataclasses import replace
+    curve = _curve((0.98, 0.0149, 0.0, 0.0), (1.0, 0.015 + 1e-13, 0.0, 0.0),
+                   (1.02, 0.0149, 0.0, 0.0))
+    res = identify_product(replace(baseline_features, height=0.015), curve)
+    assert len(res.candidates) == 1
+    assert res.p_hat == pytest.approx(0.99999999998, abs=1e-12)
+
+
+def test_identify_one_row_curve_lists_row_once(baseline_features):
+    from dataclasses import replace
+    curve = _curve((0.88, 0.015, 0.1, 1e-4))
+    feats = replace(baseline_features, height=0.015 - 5e-5, skewness=0.1)
+    res = identify_product(feats, curve, skew_resolution=0.05)
+    assert "endpoint" in res.note
+    assert [c.p for c in res.candidates] == [0.88]
+    assert not res.ambiguous
 
 
 def test_identify_rejects_unreachable_height(default_curve, baseline_features):
