@@ -9,9 +9,9 @@ from .errors import (ConfigError, DomainError, EmptyWindowError, FeatureError,
                      NoPeakError, PairDvaError, SpanError, SweepError)
 from .halfcell import docv_dz, ocv, u_neg, u_pos
 from .kernels import backend
-from .pairsim import (CellParams, PairParams, PairSpec, SimConfig, SimTrace,
-                      current_split, make_pair, simulate_cc_discharge,
-                      single_cell_reference, terminal_voltage)
+from .pairsim import (CellParams, PairSpec, SimConfig, SimTrace, current_split,
+                      make_pair, simulate_cc_discharge, single_cell_reference,
+                      terminal_voltage)
 from .signal import (DvDqCurve, PeakSample, SmoothingConfig, VOLTAGE_WINDOW,
                      downselect_window, dvdq_curve, peak_height,
                      resample_uniform_q)
@@ -30,7 +30,7 @@ __all__ = [
     "NoPeakError", "PairDvaError", "SpanError", "SweepError",
     "docv_dz", "ocv", "u_neg", "u_pos",
     "backend",
-    "CellParams", "PairParams", "PairSpec", "SimConfig", "SimTrace",
+    "CellParams", "PairSpec", "SimConfig", "SimTrace",
     "current_split", "make_pair", "simulate_cc_discharge",
     "single_cell_reference", "terminal_voltage",
     "DvDqCurve", "PeakSample", "SmoothingConfig", "VOLTAGE_WINDOW",

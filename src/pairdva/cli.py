@@ -21,7 +21,7 @@ from pathlib import Path
 from . import fileio
 from .errors import ConfigError, FormatError, PairDvaError
 from .features import AnalysisConfig, extract_features
-from .pairsim import PairSpec, SimConfig, make_pair, simulate_cc_discharge
+from .pairsim import PairSpec, SimConfig, simulate_cc_discharge
 from .sweep import GridConfig, identify_product, product_curve, run_sweep
 
 OUTDIR_ENV = "PAIRDVA_OUTDIR"
@@ -131,8 +131,8 @@ def _emit(text: str, cfg, sidecar: dict = None):
 
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
-    pair = make_pair(**dataclasses.asdict(_build(PairSpec, cfg)))
-    trace = simulate_cc_discharge(pair, _build(SimConfig, cfg))
+    trace = simulate_cc_discharge(_build(PairSpec, cfg),
+                                  _build(SimConfig, cfg))
     outdir = _outdir(cfg)
     base = cfg["out"] or "trace"
     csv_path = outdir / f"{base}.csv"
@@ -158,9 +158,9 @@ def cmd_features(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     grid = _build(GridConfig, cfg)
-    pair = _build(PairSpec, cfg)
-    fmap = run_sweep(grid.alpha_grid, grid.beta_grid, c_total=pair.c_total,
-                     r_parallel=pair.r_parallel,
+    fmap = run_sweep(grid.alpha_grid, grid.beta_grid,
+                     c_total=cfg["c_total_ah"],
+                     r_parallel=cfg["r_parallel_ohm"],
                      sim_config=_build(SimConfig, cfg),
                      analysis=_build(AnalysisConfig, cfg))
     curve = product_curve(fmap, grid.bin_width)

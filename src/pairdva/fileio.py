@@ -16,7 +16,7 @@ from . import __version__
 from .errors import FormatError
 from .features import PeakFeatures, SurrogateFit
 from .kernels import backend
-from .pairsim import SimTrace
+from .pairsim import PairSpec, SimTrace
 from .sweep import FeatureMap, IdentificationResult, ProductBin, ProductCurve
 
 # The trace CSV schema: each column's SimTrace field and its role, in the
@@ -108,7 +108,11 @@ def write_trace_csv(trace: SimTrace, path):
 
 
 def trace_sidecar(trace: SimTrace, run_config: dict) -> dict:
-    return sidecar("sim_trace", run_config, params=trace.params,
+    params = trace.params
+    if isinstance(params, PairSpec):        # stored as its two cells
+        params = {name: dataclasses.asdict(getattr(params, name))
+                  for name in ("cell1", "cell2")}
+    return sidecar("sim_trace", run_config, params=params,
                    sim_config=trace.config, termination_reason=trace.reason,
                    single_cell=not trace.has_cell2,
                    current_reversal=trace.current_reversal)
@@ -240,6 +244,11 @@ def features_dict(features: PeakFeatures) -> dict:
     }
 
 
+# the Python types json.loads gives each kind of JSON value (a bool's type
+# is bool, not int)
+_JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,)}
+
+
 def read_features_json(path) -> PeakFeatures:
     path = Path(path)
     try:
@@ -247,8 +256,18 @@ def read_features_json(path) -> PeakFeatures:
     except (OSError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot parse features file {path}: {err}") from err
 
+    def typed(obj, key, kind, prefix=""):
+        value = obj[key]
+        if type(value) not in _JSON_TYPES[kind]:
+            raise FormatError(f"features file {path}: field {prefix}{key} "
+                              f"holds {json.dumps(value)}, not a JSON {kind}")
+        return value
+
     def number(obj, key, prefix=""):
-        value = float(obj[key])
+        try:
+            value = float(typed(obj, key, "number", prefix))
+        except OverflowError:           # an integer past the float range
+            value = math.inf
         if not math.isfinite(value):
             raise FormatError(f"features file {path}: field {prefix}{key} "
                               f"holds the non-finite value {value:g}")
@@ -264,10 +283,12 @@ def read_features_json(path) -> PeakFeatures:
             fit=SurrogateFit(
                 **{key: number(fit, key, "fit.") for key in "abcdef"},
                 residual_rms=number(fit, "residual_rms_V", "fit."),
-                converged=bool(fit["converged"]),
+                converged=typed(fit, "converged", "bool", "fit."),
                 # diagnostics that older features files do not carry
-                **{key: cast(fit[key]) for key, cast in
-                   (("n_iter", int), ("scaled_gradient", float))
+                **{key: cast(typed(fit, key, kind, "fit."))
+                   for key, kind, cast in (("n_iter", "integer", int),
+                                           ("scaled_gradient", "number",
+                                            float))
                    if key in fit}),
             window=tuple(doc["window_V"]))
     except FormatError:

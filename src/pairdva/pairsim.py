@@ -41,38 +41,36 @@ class CellParams:
 
 
 @dataclass(frozen=True)
-class PairParams:
-    """Two parallel cells; cell1 is the strong one (C1 >= C2, R1 <= R2)."""
-
-    cell1: CellParams
-    cell2: CellParams
-
-    def __post_init__(self):
-        if self.cell2.capacity_ah > self.cell1.capacity_ah:
-            raise ConfigError("cell2 must not exceed cell1 in capacity")
-        if self.cell2.resistance_ohm < self.cell1.resistance_ohm:
-            raise ConfigError("cell2 resistance must be >= cell1 resistance")
-
-    @property
-    def alpha(self) -> float:
-        return self.cell2.capacity_ah / self.cell1.capacity_ah
-
-    @property
-    def beta(self) -> float:
-        return self.cell2.resistance_ohm / self.cell1.resistance_ohm
-
-
-@dataclass(frozen=True)
 class PairSpec:
     """One pair: its imbalance ratios and the pair-level nameplate (total
     capacity in amp-hours, parallel resistance in ohms) that a sweep holds
-    fixed."""
+    fixed. Its strong cell1 and weak cell2 keep C1 + C2 == c_total and
+    R1*R2/(R1+R2) == r_parallel."""
 
     alpha: float = 1.0
     beta: float = 1.0
     c_total: float = field(default=120.0, metadata={"key": "c_total_ah"})
     r_parallel: float = field(default=0.001,
                               metadata={"key": "r_parallel_ohm"})
+
+    def __post_init__(self):
+        if not (0.0 < self.alpha <= 1.0):
+            raise ConfigError(
+                "alpha must lie in (0, 1] (cell2 is the weak cell)")
+        if not (1.0 <= self.beta < math.inf):
+            raise ConfigError(
+                "beta must be >= 1 and finite (cell2 is the weak cell)")
+        _require_positive(c_total=self.c_total, r_parallel=self.r_parallel)
+
+    @property
+    def cell1(self) -> CellParams:
+        return CellParams(self.c_total / (1.0 + self.alpha),
+                          self.r_parallel * (1.0 + self.beta) / self.beta)
+
+    @property
+    def cell2(self) -> CellParams:
+        return CellParams(self.c_total * self.alpha / (1.0 + self.alpha),
+                          self.r_parallel * (1.0 + self.beta))
 
 
 @dataclass(frozen=True)
@@ -134,27 +132,12 @@ class SimTrace:
 
 
 def make_pair(alpha: float, beta: float, c_total: float = PairSpec.c_total,
-              r_parallel: float = PairSpec.r_parallel) -> PairParams:
-    """Build an imbalanced pair with fixed total capacity and parallel
-    resistance.
-
-    C1 + C2 == c_total and R1*R2/(R1+R2) == r_parallel by construction, so
-    sweeps over (alpha, beta) hold the pair-level nameplate constant.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError("alpha must lie in (0, 1] (cell2 is the weak cell)")
-    if not (1.0 <= beta < math.inf):
-        raise ConfigError(
-            "beta must be >= 1 and finite (cell2 is the weak cell)")
-    _require_positive(c_total=c_total, r_parallel=r_parallel)
-    c1 = c_total / (1.0 + alpha)
-    c2 = c_total * alpha / (1.0 + alpha)
-    r1 = r_parallel * (1.0 + beta) / beta
-    r2 = r_parallel * (1.0 + beta)
-    return PairParams(CellParams(c1, r1), CellParams(c2, r2))
+              r_parallel: float = PairSpec.r_parallel) -> PairSpec:
+    """The pair with these imbalance ratios and nameplate."""
+    return PairSpec(alpha, beta, c_total, r_parallel)
 
 
-def current_split(z1, z2, params: PairParams, i_total):
+def current_split(z1, z2, params: PairSpec, i_total):
     """Split the pair current between the cells at the given SOCs.
 
     Returns (i1, i2) with i1 + i2 == i_total; both cells see the same
@@ -163,12 +146,12 @@ def current_split(z1, z2, params: PairParams, i_total):
     return _pair_state(z1, z2, params, i_total)[:2]
 
 
-def terminal_voltage(z1, z2, params: PairParams, i_total):
+def terminal_voltage(z1, z2, params: PairSpec, i_total):
     """Pair terminal voltage at the given SOCs and total current."""
     return _pair_state(z1, z2, params, i_total)[2]
 
 
-def _pair_state(z1, z2, params: PairParams, i_total):
+def _pair_state(z1, z2, params: PairSpec, i_total):
     return kernels.pair_state(
         _checked(z1), _checked(z2),
         params.cell1.resistance_ohm, params.cell2.resistance_ohm,
@@ -187,7 +170,17 @@ def _reason(code) -> str:
     return _REASONS.get(int(code), "n_max")
 
 
-def simulate_cc_discharge(params: PairParams,
+def _discharge_current(config: SimConfig, capacity_ah: float) -> float:
+    """-c_rate * capacity; ConfigError when it is zero or not finite."""
+    i_total = -config.c_rate * capacity_ah
+    if i_total == 0.0:
+        raise ConfigError("discharge current is zero")
+    if not math.isfinite(i_total):
+        raise ConfigError(f"discharge current {i_total:g} A is not finite")
+    return i_total
+
+
+def simulate_cc_discharge(params: PairSpec,
                           config: SimConfig = None) -> SimTrace:
     """Integrate a constant-current discharge of the pair.
 
@@ -196,11 +189,8 @@ def simulate_cc_discharge(params: PairParams,
     or t >= t_max; the reason is recorded on the trace.
     """
     config = config if config is not None else SimConfig()
-    c1 = params.cell1
-    c2 = params.cell2
-    i_total = -config.c_rate * (c1.capacity_ah + c2.capacity_ah)
-    if i_total == 0.0:
-        raise ConfigError("discharge current is zero")
+    c1, c2 = params.cell1, params.cell2
+    i_total = _discharge_current(config, c1.capacity_ah + c2.capacity_ah)
     z1, z2, i1, i2, vt, n, reason = kernels.pair_rk4(
         config.z0, config.z0,
         c1.capacity_ah * SECONDS_PER_HOUR, c2.capacity_ah * SECONDS_PER_HOUR,
@@ -229,9 +219,7 @@ def single_cell_reference(capacity_ah: float, resistance_ohm: float,
     """
     config = config if config is not None else SimConfig()
     cell = CellParams(capacity_ah, resistance_ohm)
-    i_total = -config.c_rate * capacity_ah
-    if i_total == 0.0:
-        raise ConfigError("discharge current is zero")
+    i_total = _discharge_current(config, capacity_ah)
     # constant current: all four RK4 stages coincide, so every step adds one
     # increment; accumulated in step order, SOC matches a stepping loop's
     k1 = i_total / (capacity_ah * SECONDS_PER_HOUR)

@@ -6,6 +6,7 @@ Identification walks that curve backward: height gives up to two product
 candidates, skewness picks between them.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -13,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, IdentifyError, PairDvaError, SweepError
 from .features import AnalysisConfig, PeakFeatures, extract_features
-from .pairsim import PairSpec, SimConfig, make_pair, simulate_cc_discharge
+from .pairsim import (PairSpec, SimConfig, _require_positive, make_pair,
+                      simulate_cc_discharge)
 from .signal import SmoothingConfig
 
 
@@ -32,6 +34,18 @@ class GridConfig:
     beta_max: float = 2.0
     beta_steps: int = 11
     bin_width: float = 0.02
+
+    def __post_init__(self):
+        for name in ("alpha_steps", "beta_steps"):
+            if not (getattr(self, name) >= 1):
+                raise ConfigError(f"{name} must be at least 1")
+        for name in ("alpha_min", "alpha_max"):
+            if not (0.0 < getattr(self, name) <= 1.0):
+                raise ConfigError(f"{name} must lie in (0, 1]")
+        for name in ("beta_min", "beta_max"):
+            if not (1.0 <= getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be >= 1 and finite")
+        _require_positive(bin_width=self.bin_width)
 
     @property
     def alpha_grid(self) -> np.ndarray:
@@ -160,8 +174,7 @@ def product_curve(fmap: FeatureMap,
     Spread is max - min within the bin (worst case, matching the visual
     collapse claim rather than a variance).
     """
-    if not (bin_width > 0.0):
-        raise ConfigError("bin_width must be positive")
+    _require_positive(bin_width=bin_width)
     groups = {}
     for cell in fmap.cells:
         if not cell.ok:

@@ -72,6 +72,9 @@ def test_simulate_outputs(sim_dir):
     assert side["current_reversal"] is False
     assert side["run_config"]["alpha"] == 1.0
     assert side["run_config"]["sg_window"] == 25
+    # the pair is stored as its two cells; (1, 1) halves the nameplate
+    cell = {"capacity_ah": 60.0, "resistance_ohm": 0.002}
+    assert side["params"] == {"cell1": cell, "cell2": cell}
     assert_provenance(side)
 
 
@@ -125,6 +128,33 @@ def test_non_finite_features_field_rejected(baseline_features, tmp_path,
         fileio.read_features_json(path)
 
 
+@pytest.mark.parametrize("field,value,kind", [
+    ("fit.converged", "false", "bool"), ("skewness", True, "number"),
+    ("height_V_per_Ah", "0.015", "number"), ("fit.n_iter", 3.7, "integer")])
+def test_mistyped_features_field_rejected(baseline_features, tmp_path, field,
+                                          value, kind):
+    doc = fileio.features_dict(baseline_features)
+    *parents, key = field.split(".")
+    target = doc[parents[0]] if parents else doc
+    target[key] = value
+    path = tmp_path / "features.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fileio.FormatError,
+                       match=rf"field {field} holds .*, not a JSON {kind}$"):
+        fileio.read_features_json(path)
+
+
+def test_features_integer_past_float_range_rejected(baseline_features,
+                                                   tmp_path):
+    doc = fileio.features_dict(baseline_features)
+    doc["skewness"] = 10 ** 400         # a JSON integer no float can hold
+    path = tmp_path / "features.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fileio.FormatError,
+                       match="field skewness holds the non-finite value inf"):
+        fileio.read_features_json(path)
+
+
 def test_repeated_trace_column_rejected(tmp_path):
     path = tmp_path / "twice.csv"
     path.write_text("t_s,t_s,i_total_A,vt_V\n"
@@ -164,6 +194,45 @@ def test_extreme_finite_setting_has_no_traceback(workdir, flags):
     if proc.returncode != 0:
         assert proc.returncode == 2, proc.stderr
         assert stderr_json(proc)["error"] == "ConfigError"
+
+
+def test_overflowing_current_exits_with_config_error(workdir):
+    proc = run_cli(["simulate", "--c-rate", "1e300", "--c-total-ah", "1e300",
+                    "--t-max-s", "100", "--outdir", "overflow"], cwd=workdir)
+    assert proc.returncode == 2, proc.stderr
+    doc = stderr_json(proc)
+    assert (doc["error"], doc["stage"]) == ("ConfigError", "config")
+    assert doc["message"] == "discharge current -inf A is not finite"
+    assert "Warning" not in proc.stderr
+    assert not (workdir / "overflow").exists()
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--alpha-steps", "-1"], "alpha_steps"),
+    (["--bin-width", "0"], "bin_width"), (["--bin-width", "inf"], "bin_width")])
+def test_bad_grid_rejected_before_the_sweep(monkeypatch, capsys, tmp_path,
+                                            flags, field):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", *flags, "--outdir", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (doc["error"], doc["stage"]) == ("ConfigError", "config")
+    assert doc["message"].startswith(f"{field} must")
+    assert not out.exists()
+
+
+def test_sweep_ignores_a_shared_configs_pair_ratios(workdir):
+    # a config file shared with simulate may hold ratios that are out of
+    # range for one pair; the sweep's grid takes their place
+    path = workdir / "shared_ratios.cfg"
+    path.write_text("alpha = 1.5\nbeta = 0.5\n")
+    proc = run_cli(["sweep", "--config", str(path), "--alpha-steps", "1",
+                    "--beta-steps", "1", "--outdir", "shared_ratios"],
+                   cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_config_key_rejected(workdir, sim_dir):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pairdva import (CellParams, ConfigError, DomainError, IntegrationError,
-                     SimConfig, current_split, make_pair, ocv,
+                     PairSpec, SimConfig, current_split, make_pair, ocv,
                      simulate_cc_discharge, single_cell_reference,
                      terminal_voltage)
 from pairdva import kernels
@@ -55,6 +55,7 @@ def test_make_pair_preserves_totals_and_ratios():
         assert p.alpha == pytest.approx(a, rel=1e-12)
         assert p.beta == pytest.approx(b, rel=1e-12)
         assert c2 <= c1 and r2 >= r1
+        assert p == PairSpec(a, b)
 
 
 def test_make_pair_rejects_bad_ratios():
@@ -69,6 +70,10 @@ def test_make_pair_rejects_bad_ratios():
         name = next(iter(kw))
         with pytest.raises(ConfigError, match=f"^{name} must"):
             make_pair(**{"alpha": 1.0, "beta": 1.0, **kw})
+    # the pair type makes the same checks itself
+    for kw in ({"alpha": 0.0}, {"beta": 0.5}):
+        with pytest.raises(ConfigError, match=f"^{next(iter(kw))} must"):
+            PairSpec(**kw)
 
 
 def test_cell_params_validated():
@@ -222,6 +227,16 @@ def test_kernel_flags_soc_excursion_when_charging():
     out = kernels.pair_rk4(0.99, 0.99, 3600.0 * 60.0, 3600.0 * 60.0,
                            0.002, 0.002, 40.0, 60.0, 1000, 3.0, 0.02, 1.0e9)
     assert out[6] == 4
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg, c: simulate_cc_discharge(make_pair(1.0, 1.0, c), cfg),
+    lambda cfg, c: single_cell_reference(c, 0.001, cfg)],
+    ids=["pair", "single_cell"])
+def test_overflowing_current_rejected(run):
+    # c_rate * capacity overflows to an infinite current
+    with pytest.raises(ConfigError, match="^discharge current -inf A is not"):
+        run(SimConfig(c_rate=1e300, t_max=100.0), 1e300)
 
 
 @pytest.mark.parametrize("t_max", [1e9, 1e300])

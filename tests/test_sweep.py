@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pairdva import (FeatureError, GridConfig, IdentifyError, SimConfig,
-                     extract_features, fileio, identify_product, make_pair,
-                     product_curve, run_sweep, simulate_cc_discharge, sweep)
+from pairdva import (ConfigError, FeatureError, GridConfig, IdentifyError,
+                     SimConfig, extract_features, fileio, identify_product,
+                     make_pair, product_curve, run_sweep,
+                     simulate_cc_discharge, sweep)
 
 
 def test_default_grids():
@@ -13,6 +14,21 @@ def test_default_grids():
     b = GridConfig().beta_grid
     assert len(a) == 11 and a[0] == 0.5 and a[-1] == 1.0
     assert len(b) == 11 and b[0] == 1.0 and b[-1] == 2.0
+
+
+@pytest.mark.parametrize("kw", [
+    {"alpha_steps": 0}, {"beta_steps": -1}, {"alpha_min": 0.0},
+    {"alpha_max": 1.5}, {"beta_min": 0.5}, {"beta_max": np.inf},
+    {"bin_width": 0.0}, {"bin_width": np.inf}])
+def test_grid_config_validated(kw):
+    name = next(iter(kw))
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        GridConfig(**kw)
+
+
+def test_product_curve_rejects_infinite_bin_width(default_sweep):
+    with pytest.raises(ConfigError, match="^bin_width must"):
+        product_curve(default_sweep, np.inf)
 
 
 def test_sweep_cells_are_row_major_and_match_single_runs():
