@@ -147,6 +147,7 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
         raise ConfigError("alpha grid values must lie in (0, 1]")
     if np.any(beta_grid < 1.0):
         raise ConfigError("beta grid values must be >= 1")
+    _require_positive(c_total=c_total, r_parallel=r_parallel)
     sim_config = sim_config if sim_config is not None else SimConfig()
     analysis = analysis if analysis is not None else AnalysisConfig()
 

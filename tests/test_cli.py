@@ -209,13 +209,15 @@ def test_overflowing_current_exits_with_config_error(workdir):
 
 @pytest.mark.parametrize("flags,field", [
     (["--alpha-steps", "-1"], "alpha_steps"),
-    (["--bin-width", "0"], "bin_width"), (["--bin-width", "inf"], "bin_width")])
+    (["--bin-width", "0"], "bin_width"), (["--bin-width", "inf"], "bin_width"),
+    (["--c-total-ah", "0"], "c_total"),
+    (["--r-parallel-ohm", "-1"], "r_parallel")])
 def test_bad_grid_rejected_before_the_sweep(monkeypatch, capsys, tmp_path,
                                             flags, field):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep ran before the grid was checked")
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the settings were checked")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(pairdva.sweep, "simulate_cc_discharge", no_cell)
     out = tmp_path / "out"
     assert cli.main(["sweep", *flags, "--outdir", str(out)]) == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -52,8 +52,8 @@ def test_make_pair_preserves_totals_and_ratios():
         r1, r2 = p.cell1.resistance_ohm, p.cell2.resistance_ohm
         assert c1 + c2 == pytest.approx(120.0, rel=1e-12)
         assert 1.0 / (1.0 / r1 + 1.0 / r2) == pytest.approx(0.001, rel=1e-12)
-        assert p.alpha == pytest.approx(a, rel=1e-12)
-        assert p.beta == pytest.approx(b, rel=1e-12)
+        assert c2 / c1 == pytest.approx(a, rel=1e-12)
+        assert r2 / r1 == pytest.approx(b, rel=1e-12)
         assert c2 <= c1 and r2 >= r1
         assert p == PairSpec(a, b)
 

@@ -26,6 +26,17 @@ def test_grid_config_validated(kw):
         GridConfig(**kw)
 
 
+@pytest.mark.parametrize("kw", [
+    {"c_total": 0.0}, {"c_total": np.inf}, {"r_parallel": -1.0}])
+def test_run_sweep_checks_the_nameplate_first(monkeypatch, kw):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the nameplate was checked")
+
+    monkeypatch.setattr(sweep, "simulate_cc_discharge", no_cell)
+    with pytest.raises(ConfigError, match=f"^{next(iter(kw))} must"):
+        run_sweep([1.0], [1.0], **kw)
+
+
 def test_product_curve_rejects_infinite_bin_width(default_sweep):
     with pytest.raises(ConfigError, match="^bin_width must"):
         product_curve(default_sweep, np.inf)
