@@ -256,11 +256,16 @@ def read_features_json(path) -> PeakFeatures:
     except (OSError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot parse features file {path}: {err}") from err
 
+    def name(key, prefix):
+        # a list element is named by its index: window_V[0]
+        return f"{prefix}[{key}]" if type(key) is int else prefix + key
+
     def typed(obj, key, kind, prefix=""):
         value = obj[key]
         if type(value) not in _JSON_TYPES[kind]:
-            raise FormatError(f"features file {path}: field {prefix}{key} "
-                              f"holds {json.dumps(value)}, not a JSON {kind}")
+            raise FormatError(f"features file {path}: field "
+                              f"{name(key, prefix)} holds "
+                              f"{json.dumps(value)}, not a JSON {kind}")
         return value
 
     def number(obj, key, prefix=""):
@@ -269,9 +274,18 @@ def read_features_json(path) -> PeakFeatures:
         except OverflowError:           # an integer past the float range
             value = math.inf
         if not math.isfinite(value):
-            raise FormatError(f"features file {path}: field {prefix}{key} "
-                              f"holds the non-finite value {value:g}")
+            raise FormatError(f"features file {path}: field "
+                              f"{name(key, prefix)} holds the non-finite "
+                              f"value {value:g}")
         return value
+
+    def pair(key):
+        value = doc[key]
+        if type(value) is not list or len(value) != 2:
+            raise FormatError(f"features file {path}: field {key} holds "
+                              f"{json.dumps(value)}, not a list of two "
+                              f"JSON numbers")
+        return number(value, 0, key), number(value, 1, key)
 
     try:
         fit = doc["fit"]
@@ -290,7 +304,7 @@ def read_features_json(path) -> PeakFeatures:
                                            ("scaled_gradient", "number",
                                             float))
                    if key in fit}),
-            window=tuple(doc["window_V"]))
+            window=pair("window_V"))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as err:

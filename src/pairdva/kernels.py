@@ -2,7 +2,7 @@
 
 The electrode potentials are written once, over numpy's ufuncs, and give
 the same bits on a float and on an array. The discharge is fixed-step RK4,
-solved a window of steps at a time by Newton's method on the whole window
+solved by Newton's method on a window of steps that slides along the run
 instead of one Python step at a time, to the bits of the step-by-step loop.
 """
 
@@ -31,55 +31,74 @@ NEG_STEPS = ((0.012, 0.15, 0.019), (0.012, 0.19, 0.019),
              (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066))
 
 
+# Each potential is a sum kept in its written order: its terms are stacked
+# on a leading axis, weighted, and folded by np.subtract.reduce from a
+# scalar start, one term after another (numpy adds with pairwise sums);
+# a - (-b) is a + b to the bit.
+_POS_POWERS = np.array([2.0, 3.0, 4.0, 5.0])
+# u_pos = p0 minus these times the rows z, z^2..z^5, e
+_POS_COEF = np.array([-p for p in POS_POLY[1:]] + [POS_EXP[0]])
+# du_pos/dz = p1 minus these times the rows z..z^4, plus pa pk e
+_POS_SLOPE = np.array([-k * p for k, p in enumerate(POS_POLY[2:], 2)])
+# u_neg = NEG_BASE minus these times the rows e, tanh_1..tanh_6
+_NEG_COEF = np.array([-NEG_EXP[0]] + [h for h, _, _ in NEG_STEPS])
+_NEG_M, _NEG_W = np.array([(m, w) for _, m, w in NEG_STEPS]).T
+_NEG_HW = np.array([h / w for h, _, w in NEG_STEPS])
+
+
+def _rows(values, z):
+    """values as an array with one row per value over z's shape."""
+    return values.reshape((-1,) + (1,) * getattr(z, "ndim", 0))
+
+
 def _pos_terms(z):
+    """The rows z, z^2..z^5 and the exponential of u_pos over z's shape."""
     # np.float_power is the C library's pow, which z**k on a float or a
     # numpy scalar also calls, so the formulas give the same bits on floats
     # and on arrays; numpy's array ** rounds differently in about 5% of cases
     _, pk, pb = POS_EXP
-    return (np.exp(pk * (1.0 - z) - pb),
-            [np.float_power(z, k) for k in (2.0, 3.0, 4.0)])
+    t = np.empty((6,) + getattr(z, "shape", ()))
+    t[0] = z
+    np.float_power(z, _rows(_POS_POWERS, z), out=t[1:5])
+    np.exp(pk * (1.0 - z) - pb, out=t[5, ...])
+    return t
 
 
 def _neg_terms(z):
+    """The rows e and tanh_1..tanh_6 of u_neg over z's shape."""
     _, nk, ns, nb = NEG_EXP
-    return (np.exp(-nk * (ns * z + nb)),
-            [np.tanh((z - m) / w) for _, m, w in NEG_STEPS])
+    t = np.empty((7,) + getattr(z, "shape", ()))
+    np.exp(-nk * (ns * z + nb), out=t[0, ...])
+    np.tanh((z - _rows(_NEG_M, z)) / _rows(_NEG_W, z), out=t[1:])
+    return t
 
 
-def _pos(z, terms):
-    p0, p1, p2, p3, p4, p5 = POS_POLY
-    e, (z2, z3, z4) = terms
-    return (p0 + p1 * z + p2 * z2 + p3 * z3 + p4 * z4
-            + p5 * np.float_power(z, 5.0) - POS_EXP[0] * e)
+def _pos(terms):
+    return np.subtract.reduce(_rows(_POS_COEF, terms[0]) * terms, axis=0,
+                              initial=POS_POLY[0])
 
 
 def _neg(terms):
-    e, tanhs = terms
-    u = NEG_BASE + NEG_EXP[0] * e
-    for (h, _, _), t in zip(NEG_STEPS, tanhs):
-        u = u - h * t
-    return u
+    return np.subtract.reduce(_rows(_NEG_COEF, terms[0]) * terms, axis=0,
+                              initial=NEG_BASE)
 
 
 def _slope(z, pos_terms, neg_terms):
     """d(u_pos - u_neg)/dz from the terms the potentials share."""
-    _, p1, p2, p3, p4, p5 = POS_POLY
     pa, pk, _ = POS_EXP
     na, nk, ns, _ = NEG_EXP
-    e, (z2, z3, z4) = pos_terms
-    dpos = (p1 + 2.0 * p2 * z + 3.0 * p3 * z2 + 4.0 * p4 * z3
-            + 5.0 * p5 * z4
-            + pa * pk * e)
+    dpos = (np.subtract.reduce(_rows(_POS_SLOPE, z) * pos_terms[:4], axis=0,
+                               initial=POS_POLY[1])
+            + pa * pk * pos_terms[5])
     # sech^2 written as 1 - tanh^2 so large arguments cannot overflow
-    e, tanhs = neg_terms
-    dneg = -na * nk * ns * e
-    for (h, _, w), t in zip(NEG_STEPS, tanhs):
-        dneg = dneg - (h / w) * (1.0 - t * t)
+    e, tanhs = neg_terms[0], neg_terms[1:]
+    dneg = np.subtract.reduce(np.concatenate((
+        [-na * nk * ns * e], _rows(_NEG_HW, z) * (1.0 - tanhs * tanhs))))
     return dpos - dneg
 
 
 def u_pos(z):
-    return _pos(z, _pos_terms(z))
+    return _pos(_pos_terms(z))
 
 
 def u_neg(z):
@@ -97,7 +116,7 @@ def docv_dz(z):
 def ocv_and_slope(z):
     """ocv(z) and docv_dz(z), bit for bit, from one set of terms."""
     tp, tn = _pos_terms(z), _neg_terms(z)
-    return _pos(z, tp) - _neg(tn), _slope(z, tp, tn)
+    return _pos(tp) - _neg(tn), _slope(z, tp, tn)
 
 
 # --- pair algebra ---------------------------------------------------------
@@ -124,25 +143,30 @@ def pair_state(z1, z2, r1, r2, i_total):
 # limit (reasons 1/2/3). Reason 4 flags an SOC excursion beyond
 # [-1e-9, 1 + 1e-9] after a step and is turned into an error by the caller.
 #
-# The recursion x_{k+1} = Phi(x_k) is solved a window at a time by Newton's
-# method on the whole window. A window's first guess repeats its first RK4
-# increment. Each iteration takes the RK4 step from every state at once;
-# the defect d_k = Phi(x_k) - x_{k+1} drives the correction
-# delta_{k+1} = (I + u rho_k^T) delta_k + d_k, delta_0 = 0, where the step
-# Jacobian dPhi/dx = I + u rho_k^T has a fixed u. So delta_k = D_k + u S_k,
-# with D the running sum of the defects and the scalar S_{k+1} =
-# (1 + a_k) S_k + b_k, a_k = u.rho_k, b_k = rho_k.D_k, S_0 = 0: one cumprod
-# and one cumsum. The corrected states are summed step by step from
-# corrected increments, so each one is rounded as the RK4 step itself
-# rounds it. The states up to the first nonzero defect are the stepping
-# loop's own, bit for bit, and so is the step from the last of them: each
-# iteration keeps those states, at least one, and goes on from that step.
-# A trial state outside the OCV's domain gives a non-finite defect; the
-# window is cut before it. The result is the loop's trajectory exactly,
-# not to a tolerance: the features downstream react to a last-digit change
-# of one trace sample.
+# The recursion x_{k+1} = Phi(x_k) is solved by Newton's method on a window
+# of steps that slides along the run. Each iteration takes the RK4 step
+# from every state of the window at once; the defect d_k = Phi(x_k) -
+# x_{k+1} drives the correction delta_{k+1} = (I + u rho_k^T) delta_k + d_k,
+# delta_0 = 0, where the step Jacobian dPhi/dx ~ I + u rho_k^T has a fixed
+# u. So delta_k = D_k + u S_k, with D the running sum of the defects and
+# the scalar S_{k+1} = (1 + a_k) S_k + b_k, a_k = u.rho_k, b_k = rho_k.D_k,
+# S_0 = 0: one cumprod and one cumsum. rho_k comes from the rate Jacobian
+# at stage 1 alone, taken for all four stages, so stages 2-4 need the OCV
+# but not its slope; an inexact Jacobian costs iterations, never bits.
+# The corrected states are summed step by step from corrected increments,
+# so each one is rounded as the RK4 step itself rounds it. The states up
+# to the first nonzero defect are the stepping loop's own, bit for bit, and
+# so is the step from the last of them: each iteration keeps those states,
+# at least one, and goes on from that step, with the corrected rest of the
+# window and, to keep its width, copies of the last corrected increment:
+# the window slides along the run instead of restarting. A trial state
+# outside the OCV's domain gives a non-finite defect; the window is cut
+# before it. The first window holds the first state for one step, so its
+# pass keeps that state and repeats its increment: the run's one fresh
+# guess. The result is the loop's trajectory exactly, not to a tolerance:
+# the features downstream react to a last-digit change of one trace sample.
 
-WINDOW = 1024        # most steps solved at once; ~0.6 kB of work per step
+WINDOW = 512         # width of the window; ~0.6 kB of work per step
 
 
 def step_bound(distance, step, n_max):
@@ -159,48 +183,51 @@ def step_bound(distance, step, n_max):
 def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
              dt, n_max, v_cutoff, soc_floor, t_max):
     caps = np.array([[c1_as], [c2_as]], dtype=float)
-    # the rates are (i1 / c1, (i_total - i1) / c2), so each stage's rate
-    # Jacobian is the rank-one u w^T with u = dk_di1 and w = di1/dz
+    # the rates are (i1 / c1, (i_total - i1) / c2), so the rate Jacobian
+    # is the rank-one u w^T with u = dk_di1 and w = di1/dz
     dk_di1 = np.array([[1.0], [-1.0]]) / caps
     r_tot = r1 + r2
 
-    def rates(s):
-        u, du = ocv_and_slope(s)
-        i1, i2, vt = _split(u[0], u[1], r1, r2, i_total)
-        w = np.stack((-du[0], du[1])) / r_tot
-        return np.stack((i1, i2)) / caps, w, i1, i2, vt
+    # _split's two currents from the stacked OCVs in one array, by its
+    # arithmetic: (delta + r2 i_total) / r_tot, (-delta + r1 i_total) / r_tot
+    signs = np.array([[1.0], [-1.0]])
+    offsets = np.array([[r2 * i_total], [r1 * i_total]])
+    di1_du = np.array([[-1.0], [1.0]]) / r_tot
+
+    def rates(u):
+        return (signs * (u[1] - u[0]) + offsets) / r_tot / caps
 
     def step(x):
         """One RK4 step from each column of x: the increments, rho with
-        dPhi/dx = I + dk_di1 rho^T, and the stage-1 currents and terminal
+        dPhi/dx ~ I + dk_di1 rho^T, and the stage-1 currents and terminal
         voltage."""
-        # stage j's rates have the x-Jacobian dk_di1 rho_j^T (chain rule
-        # through the stage input x + h k_{j-1})
-        k1, rho1, i1, i2, vt = rates(x)
-        k2, w, _, _, _ = rates(x + 0.5 * dt * k1)
-        rho2 = w + 0.5 * dt * (dk_di1 * w).sum(0) * rho1
-        k3, w, _, _, _ = rates(x + 0.5 * dt * k2)
-        rho3 = w + 0.5 * dt * (dk_di1 * w).sum(0) * rho2
-        k4, w, _, _, _ = rates(x + dt * k3)
-        rho4 = w + dt * (dk_di1 * w).sum(0) * rho3
+        u, du = ocv_and_slope(x)
+        i1, i2, vt = _split(u[0], u[1], r1, r2, i_total)
+        k1 = np.stack((i1, i2)) / caps
+        k2 = rates(ocv(x + 0.5 * dt * k1))
+        k3 = rates(ocv(x + 0.5 * dt * k2))
+        k4 = rates(ocv(x + dt * k3))
         inc = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = (dt / 6.0) * (rho1 + 2.0 * rho2 + 2.0 * rho3 + rho4)
-        return inc, rho, i1, i2, vt
+        # RK4 on rates with the fixed Jacobian dk_di1 w^T steps by
+        # I + dk_di1 rho^T, rho = dt (1 + h/2 + h^2/6 + h^3/24) w, h = dt u.w
+        w = di1_du * du
+        h = dt * (dk_di1 * w).sum(0)
+        return (inc, dt * (1.0 + h * (0.5 + h * (1.0 / 6.0 + h / 24.0))) * w,
+                i1, i2, vt)
 
-    def replay(x0, inc):
-        """x0 followed by the step-by-step sums of the increments."""
-        steps = np.empty((2, inc.shape[1] + 1))
+    def window(x0, inc):
+        """x0 followed by the step-by-step sums of the increments, the last
+        of them repeated up to the window's width."""
+        n = inc.shape[1]
+        steps = np.empty(
+            (2, 1 + min(WINDOW, n_max - start, max(last - start, 1))))
         steps[:, 0] = x0
-        steps[:, 1:] = inc
+        steps[:, 1:n + 1] = inc
+        steps[:, n + 1:] = inc[:, -1:]
         return np.add.accumulate(steps, axis=1)
 
-    def guess(x0):
-        """A window from x0 of its first RK4 increment, repeated."""
-        end = min(start + WINDOW, n_max, max(last, start + 1))
-        return replay(x0, np.repeat(step(x0[:, None])[0], end - start, 1))
-
-    def newton(x0, inc, rho, defect):
-        """The states from x0 after one Newton step. defect[:, k] is the
+    def newton(inc, rho, defect):
+        """The increments inc after one Newton step. defect[:, k] is the
         defect of the step into the state inc[:, k] steps from, so that
         state's correction is delta_k = D_k + dk_di1 S_k, D the running sum
         of the defects, and inc[:, k] gains dk_di1 rho_k.delta_k."""
@@ -209,7 +236,7 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         g = np.cumprod(1.0 + a)
         s = g * np.cumsum((rho * d).sum(0) / g)     # S_1..S_m
         # rho_k.delta_k = b_k + a_k S_k = S_{k+1} - S_k
-        return replay(x0, inc + dk_di1 * np.diff(s, prepend=0.0))
+        return inc + dk_di1 * np.diff(s, prepend=0.0)
 
     def record(x, nxt, c1, c2, v):
         """Copy samples start.. of states x with successors nxt; the index
@@ -239,7 +266,8 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     # trial states of a window may overflow, and the running product g
     # of a long window underflow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = guess(np.array([z1_0, z2_0], dtype=float))
+        # the first window: the first state, held for one step
+        x = np.repeat(np.array([[z1_0], [z2_0]], dtype=float), 2, axis=1)
         while True:
             inc, rho, c1, c2, v = step(x[:, :-1])
             nxt = x[:, :-1] + inc
@@ -257,8 +285,7 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
                 z, i1, i2, vt = (np.concatenate(part, axis=-1)[..., :n]
                                  for part in zip(*kept))
                 return z[0], z[1], i1, i2, vt, n, reason
-            if keep >= cut:
-                x = guess(nxt[:, keep - 1])
-            else:
-                x = newton(nxt[:, keep - 1], inc[:, keep:cut],
-                           rho[:, keep:cut], defect[:, keep - 1:cut - 1])
+            fix = newton(inc[:, keep:cut], rho[:, keep:cut],
+                         defect[:, keep - 1:cut - 1])
+            x = window(nxt[:, keep - 1],
+                       fix if fix.size else inc[:, keep - 1:keep])

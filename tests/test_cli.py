@@ -144,6 +144,25 @@ def test_mistyped_features_field_rejected(baseline_features, tmp_path, field,
         fileio.read_features_json(path)
 
 
+@pytest.mark.parametrize("window, message", [
+    (["a"], 'field window_V holds ["a"], not a list of two JSON numbers'),
+    ([3.5, "4.0"], 'field window_V[1] holds "4.0", not a JSON number'),
+    ([3.5, float("nan")], "field window_V[1] holds the non-finite value nan")],
+    ids=["not_two_numbers", "not_a_number", "not_finite"])
+def test_malformed_features_window_reported(baseline_features, workdir,
+                                            window, message):
+    doc = fileio.features_dict(baseline_features)
+    doc["window_V"] = window
+    path = workdir / "bad_window.json"
+    path.write_text(json.dumps(doc))
+    # the features file is read, and rejected, before the curve
+    proc = run_cli(["identify", str(path), "nope.csv"], cwd=workdir)
+    assert proc.returncode == 2
+    err = stderr_json(proc)
+    assert (err["error"], err["stage"]) == ("FormatError", "io")
+    assert err["message"] == f"features file {path}: {message}"
+
+
 def test_features_integer_past_float_range_rejected(baseline_features,
                                                    tmp_path):
     doc = fileio.features_dict(baseline_features)

@@ -104,6 +104,19 @@ def test_ocv_and_slope_equals_ocv_and_docv_dz():
         assert np.array_equal(du, kernels.docv_dz(zz))
 
 
+def test_float_and_array_shapes_give_the_same_bits():
+    # the electrode terms are stacked over z's shape; each element of a
+    # 1-D or (2, m) array must come out as it does on its own float
+    z = np.linspace(-0.5, 1.5, 1001)
+    grid = np.stack((z, z[::-1]))
+    for f in (kernels.ocv, kernels.docv_dz,
+              lambda zz: kernels.ocv_and_slope(zz)[0],
+              lambda zz: kernels.ocv_and_slope(zz)[1]):
+        flat = f(z)
+        assert np.array_equal(f(grid), np.stack((flat, flat[::-1])))
+        assert all(f(float(zi)) == flat[i] for i, zi in enumerate(z))
+
+
 def test_deterministic():
     z = np.linspace(0.0, 1.0, 501)
     assert np.array_equal(ocv(z), ocv(z))

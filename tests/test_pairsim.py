@@ -2,9 +2,11 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairdva import (CellParams, ConfigError, DomainError, IntegrationError,
                      PairSpec, SimConfig, current_split, make_pair, ocv,
@@ -351,14 +353,14 @@ def test_windowed_solve_matches_stepping_loop_configs(monkeypatch, kw):
     assert_solve_matches_loop(monkeypatch, 0.7, 1.6, SimConfig(**kw))
 
 
-@pytest.mark.parametrize("alpha, beta, c_rate, cut", [(0.1, 1.0, 1.0, True),
+@pytest.mark.parametrize("alpha, beta, c_rate, cut", [(0.1, 1.0, 2.0, True),
                                                       (0.30, 1.70, 1.47, False)])
 def test_imbalanced_pairs_match_loop(monkeypatch, alpha, beta, c_rate, cut):
-    guesses = []
+    guesses, nonfinite = [], []
 
     class CountingNumpy:
-        """numpy for the kernels, counting np.repeat: each window's first
-        guess, and only that, repeats its first increment."""
+        """numpy for the kernels, counting np.repeat: the fresh guess, and
+        only that, repeats its first state."""
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -367,14 +369,22 @@ def test_imbalanced_pairs_match_loop(monkeypatch, alpha, beta, c_rate, cut):
             guesses.append(1)
             return np.repeat(*args, **kwargs)
 
+    evaluate = kernels.ocv
+
+    def checked(z):
+        u = evaluate(z)
+        nonfinite.append(not np.isfinite(u).all())
+        return u
+
     monkeypatch.setattr(kernels, "np", CountingNumpy())
-    tr = assert_solve_matches_loop(monkeypatch, alpha, beta,
-                                   SimConfig(c_rate=c_rate))
-    # the first guess for (0.1, 1) at 1C leaves the OCV's domain near step
-    # 722, so that window is cut there and more windows start than an
-    # unbroken run needs
-    windows = len(guesses)
-    assert (windows > -(-len(tr) // kernels.WINDOW)) == cut
+    monkeypatch.setattr(kernels, "ocv", checked)
+    assert_solve_matches_loop(monkeypatch, alpha, beta,
+                              SimConfig(c_rate=c_rate))
+    # trial states of (0.1, 1) at 2C run far outside the OCV's domain, to
+    # non-finite OCVs, so its window is cut before them; the window slides
+    # past each cut, and a run, cut or not, makes one fresh guess
+    assert any(nonfinite) == cut
+    assert len(guesses) == 1
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
@@ -383,22 +393,46 @@ def test_short_windows_match_loop(monkeypatch, window):
     assert_solve_matches_loop(monkeypatch, 0.7, 1.6, SimConfig(t_max=200.0))
 
 
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(alpha=st.floats(0.05, 1.0), beta=st.floats(1.0, 4.0),
+       c_rate=st.floats(0.2, 3.0), dt=st.floats(0.5, 5.0),
+       z0=st.floats(0.03, 1.0), t_max=st.floats(100.0, 400.0),
+       window=st.integers(2, 64))
+def test_sliding_window_matches_loop(alpha, beta, c_rate, dt, z0, t_max,
+                                     window):
+    pair = make_pair(alpha, beta)
+    c1, c2 = pair.cell1, pair.cell2
+    args = (z0, z0, c1.capacity_ah * 3600.0, c2.capacity_ah * 3600.0,
+            c1.resistance_ohm, c2.resistance_ohm,
+            -c_rate * (c1.capacity_ah + c2.capacity_ah), dt,
+            int(t_max / dt) + 2, 3.0, 0.02, t_max)
+    with mock.patch.object(kernels, "WINDOW", window):
+        got = kernels.pair_rk4(*args)
+    want = _pair_rk4_loop(*args)
+    # states, currents and voltage bit for bit, then n and the reason
+    assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
+    assert got[5:] == want[5:]
+
+
 @pytest.mark.parametrize("alpha, beta, cfg, most", [
-    (0.7, 1.6, SimConfig(), 450), (0.1, 1.0, SimConfig(c_rate=1.0), 400)])
+    (0.7, 1.6, SimConfig(), 450), (0.1, 1.0, SimConfig(c_rate=1.0), 400),
+    (0.1, 1.0, SimConfig(c_rate=2.0), 150)])
 def test_solve_needs_few_ocv_evaluations(monkeypatch, alpha, beta, cfg, most):
     # a fixed-point iteration, with no Newton correction, and a window not
     # cut before its non-finite trial states both reach the loop's
     # trajectory, so only the number of OCV evaluations tells them apart:
-    # 376 and 256 here, 1068 and 828 with no correction, 2020 for (0.1, 1)
-    # with no cut
+    # 382, 214 and 90 here (two of them outside the integrator), 866, 610
+    # and 218 with no correction, 2586 for (0.1, 1) at 2C with no cut (at
+    # 1C its window is never cut)
     calls = []
-    evaluate = kernels.ocv_and_slope
+    for name in ("ocv", "ocv_and_slope"):
+        evaluate = getattr(kernels, name)
 
-    def counting(z):
-        calls.append(1)
-        return evaluate(z)
+        def counting(z, evaluate=evaluate):
+            calls.append(1)
+            return evaluate(z)
 
-    monkeypatch.setattr(kernels, "ocv_and_slope", counting)
+        monkeypatch.setattr(kernels, name, counting)
     simulate_cc_discharge(make_pair(alpha, beta), cfg)
     assert len(calls) <= most
 
