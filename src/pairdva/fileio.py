@@ -3,11 +3,21 @@
 Every float is written with 12 significant digits, so identical inputs
 produce byte-identical files. Sidecar JSONs echo the fully resolved
 configuration so any output can regenerate its run.
+
+CSVs go through memory a bounded piece at a time. The writer formats and
+writes CHUNK_ROWS rows per write, never the text of the whole file. A
+reader takes the header line, then hands the open file to np.loadtxt, so
+it holds no copy of the text; only a file that parse rejects (a
+whitespace-only line, a malformed or a non-finite cell) is read again as
+text, to drop those lines or to name the bad cell's file line and column.
+Readers decode UTF-8 and drop a leading byte-order mark, as spreadsheet
+exports write one.
 """
 
 import dataclasses
 import json
 import math
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +54,9 @@ PRODUCT_CURVE_HEADER = ("product,mean_height,mean_skewness,spread_height,"
 
 _PRODUCT_CURVE_COLUMNS = PRODUCT_CURVE_HEADER.split(",")
 
+# rows formatted per write; one chunk's text is the writer's largest buffer
+CHUNK_ROWS = 1024
+
 
 def fmt(x) -> str:
     """Canonical 12-significant-digit text form of a float."""
@@ -53,10 +66,13 @@ def fmt(x) -> str:
 def _write_rows(path, header: str, rows, n_floats: int, tail: str = ""):
     """Write the header line, then one line per row: n_floats cells in fmt's
     12 digits ("%.12g" % x is the text of f"{x:.12g}"), then tail % the rest
-    of the row."""
+    of the row. The rows are formatted and written CHUNK_ROWS at a time."""
     row_format = ",".join(["%.12g"] * n_floats) + tail + "\n"
-    Path(path).write_text(
-        header + "\n" + "".join([row_format % row for row in rows]))
+    rows = iter(rows)
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        while lines := [row_format % row for row in islice(rows, CHUNK_ROWS)]:
+            out.write("".join(lines))
 
 
 def _round12(x):
@@ -102,8 +118,12 @@ def sidecar(kind: str, run_config: dict, **fields) -> dict:
 # --- simulation traces -----------------------------------------------------
 
 def write_trace_csv(trace: SimTrace, path):
-    cols = [getattr(trace, field) for field, _ in TRACE_COLUMNS.values()]
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in cols))
+    cols = [np.asarray(getattr(trace, field), dtype=float)
+            for field, _ in TRACE_COLUMNS.values()]
+    # a chunk's column slices become Python floats only as it is written
+    rows = chain.from_iterable(
+        zip(*(c[start:start + CHUNK_ROWS].tolist() for c in cols))
+        for start in range(0, len(cols[0]), CHUNK_ROWS))
     _write_rows(path, TRACE_HEADER, rows, len(cols))
 
 
@@ -159,14 +179,16 @@ def _malformed_row(path, text, header) -> FormatError:
     return FormatError(f"{path} has malformed data rows")
 
 
-def _numeric_rows(path, text, lines, header):
-    """The data rows under the header line lines[0] as a float array with
+def _numeric_rows(path, text, header):
+    """The data rows of text, under its header line, as a float array with
     one column per header name. A malformed row or a non-finite cell raises
     FormatError naming its file line and column."""
-    if len(lines) < 2:
+    rows = _numbered_rows(text)
+    if not rows:
         return np.empty((0, len(header)))
     try:
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt([ln for _, ln in rows], delimiter=",",
+                          comments=None, ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape[1] != len(header):
@@ -174,10 +196,77 @@ def _numeric_rows(path, text, lines, header):
     finite = np.isfinite(data)
     if not finite.all():
         row, c = np.argwhere(~finite)[0]
-        line_no = _numbered_rows(text)[row][0]
-        raise FormatError(f"{path} line {line_no}: column {header[c]} holds "
-                          f"the non-finite value {data[row, c]:g}")
+        raise FormatError(f"{path} line {rows[row][0]}: column {header[c]} "
+                          f"holds the non-finite value {data[row, c]:g}")
     return data
+
+
+def _next_nonblank(csv) -> str:
+    """The next line of the open file csv with more than whitespace, or ""
+    at its end."""
+    for line in csv:
+        if line.strip():
+            return line
+    return ""
+
+
+def _parse_rest(csv, n_columns):
+    """The rest of the open file csv as a float array of n_columns, parsed
+    by np.loadtxt as it is read; None when that parse fails or gives a
+    non-finite cell."""
+    first = _next_nonblank(csv)     # np.loadtxt warns on an empty input
+    if not first:
+        return np.empty((0, n_columns))
+    try:
+        data = np.loadtxt(chain([first], csv), delimiter=",", comments=None,
+                          ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] != n_columns or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _read_text(path: Path) -> str:
+    return path.read_text(encoding="utf-8-sig")
+
+
+def _read_table(path, parse_header):
+    """The header names and the data rows of a CSV, as a float array with
+    one column per name.
+
+    parse_header(path, line) checks the first nonblank line and returns its
+    column names before any row is parsed. The open file then goes to
+    np.loadtxt; only when that fails is the text read and parsed by
+    _numeric_rows, which drops whitespace-only lines or names the bad row's
+    file line and column.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as csv:
+            line = _next_nonblank(csv)
+            if not line:
+                raise FormatError(f"{path} is empty")
+            header = parse_header(path, line.rstrip("\n"))
+            data = _parse_rest(csv, len(header))
+        if data is None:
+            data = _numeric_rows(path, _read_text(path), header)
+    except (OSError, UnicodeDecodeError) as err:
+        raise FormatError(f"cannot read {path}: {err}") from err
+    return header, data
+
+
+def _trace_header(path, line):
+    header = [h.strip() for h in line.split(",")]
+    unknown = set(header) - set(TRACE_COLUMNS)
+    if unknown:
+        raise FormatError(f"unknown trace columns: {sorted(unknown)}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise FormatError(f"repeated trace columns: {repeated}")
+    missing = [c for c in REQUIRED_TRACE_COLUMNS if c not in header]
+    if missing:
+        raise FormatError(f"trace file missing required columns: {missing}")
+    return header
 
 
 def read_trace_csv(path) -> SimTrace:
@@ -188,24 +277,7 @@ def read_trace_csv(path) -> SimTrace:
     so measured pair-level data fits through the same format.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise FormatError(f"cannot read {path}: {err}") from err
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path} is empty")
-    header = [h.strip() for h in lines[0].split(",")]
-    unknown = set(header) - set(TRACE_COLUMNS)
-    if unknown:
-        raise FormatError(f"unknown trace columns: {sorted(unknown)}")
-    repeated = sorted({c for c in header if header.count(c) > 1})
-    if repeated:
-        raise FormatError(f"repeated trace columns: {repeated}")
-    missing = [c for c in REQUIRED_TRACE_COLUMNS if c not in header]
-    if missing:
-        raise FormatError(f"trace file missing required columns: {missing}")
-    data = _numeric_rows(path, text, lines, header)
+    header, data = _read_table(path, _trace_header)
     if data.shape[0] < 2:
         raise FormatError(f"{path} has no usable data rows")
     fields = dict(zip((TRACE_COLUMNS[name][0] for name in header), data.T))
@@ -343,22 +415,23 @@ def write_product_curve_csv(curve: ProductCurve, path):
     _write_rows(path, PRODUCT_CURVE_HEADER, rows, 5, ",%s")
 
 
+def _product_curve_header(path, line):
+    if line != PRODUCT_CURVE_HEADER:
+        raise FormatError(f"{path} is not a product-curve CSV")
+    return _PRODUCT_CURVE_COLUMNS
+
+
 def read_product_curve_csv(path) -> ProductCurve:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise FormatError(f"cannot read {path}: {err}") from err
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != PRODUCT_CURVE_HEADER:
-        raise FormatError(f"{path} is not a product-curve CSV")
-    data = _numeric_rows(path, text, lines, _PRODUCT_CURVE_COLUMNS)
+    _, data = _read_table(path, _product_curve_header)
     if data.shape[0] == 0:
         raise FormatError(f"{path} has no data rows")
-    for (no, _), n in zip(_numbered_rows(text), data[:, -1]):
-        if n != int(n):
-            raise FormatError(f"{path} line {no}: column n holds the "
-                              f"non-integer value {n:g}")
+    n = data[:, -1]
+    fraction = np.flatnonzero(n != np.trunc(n))
+    if fraction.size:
+        no = _numbered_rows(_read_text(path))[fraction[0]][0]
+        raise FormatError(f"{path} line {no}: column n holds the "
+                          f"non-integer value {n[fraction[0]]:g}")
     return ProductCurve(rows=[
         ProductBin(product=r[0], mean_height=r[1], mean_skewness=r[2],
                    spread_height=r[3], spread_skewness=r[4], n=int(r[5]))

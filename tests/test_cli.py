@@ -311,6 +311,20 @@ def test_minimal_columns_reproduce_features(workdir, sim_dir):
                                                  abs=1e-6)
 
 
+def test_byte_order_mark_gives_the_same_features(workdir, sim_dir):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    lines = (sim_dir / "trace.csv").read_text().splitlines()
+    slim = "".join(",".join(ln.split(",")[k] for k in (0, 1, 9)) + "\n"
+                   for ln in lines)
+    plain, marked = workdir / "plain.csv", workdir / "bom.csv"
+    plain.write_text(slim)
+    marked.write_bytes(b"\xef\xbb\xbf" + slim.encode())
+    want = run_cli(["features", str(plain)], cwd=workdir)
+    got = run_cli(["features", str(marked)], cwd=workdir)
+    assert got.returncode == 0, got.stderr
+    assert json.loads(got.stdout) == json.loads(want.stdout)
+
+
 def test_flags_override_config_file(workdir, sim_dir):
     cfg = workdir / "narrow.cfg"
     cfg.write_text("# narrower analysis band\nv_lo = 3.75\n")

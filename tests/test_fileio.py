@@ -2,7 +2,14 @@
 fmt() of every cell, finite tables round-trip at the writer's 12 digits,
 one corrupt cell or short row is named by its file line and column, and
 a file without a charge column integrates its current like the reference
-trapezoid."""
+trapezoid. The chunked writer matches a one-shot writer across its chunk
+boundaries, a bad cell deep in a long file is still named, and both sides
+stay within a bound of the trace's array bytes in traced memory."""
+
+import math
+import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +18,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from pairdva import fileio
 from pairdva.pairsim import SimTrace
+from pairdva.sweep import FeatureMap, ProductBin, ProductCurve, SweepCell
 
 COLUMNS = fileio.TRACE_HEADER.split(",")
 # SimTrace fields in the column order of TRACE_HEADER
@@ -139,3 +147,194 @@ def test_minimal_columns_charge_equals_reference_trapezoid(tmp_path):
     got = fileio.read_trace_csv(path).q_pair
     assert np.array_equal(
         got, cumulative_trapezoid(np.abs(i), t, initial=0.0) / 3600.0)
+
+
+def random_trace(n, seed=0):
+    """A SimTrace of n rows of random floats over many magnitudes, with
+    -0.0 and a subnormal among them; no integration."""
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(size=(len(FIELDS), n)) * 10.0 ** rng.integers(
+        -30, 30, size=(len(FIELDS), n))
+    cols[:, ::97] = -0.0
+    cols[:, 5::101] = 5e-324
+    return SimTrace(**dict(zip(FIELDS, cols)))
+
+
+def one_shot_csv(header, rows, n_floats, tail=""):
+    """The CSV text of the writer that formatted the whole file at once."""
+    row_format = ",".join(["%.12g"] * n_floats) + tail + "\n"
+    return header + "\n" + "".join([row_format % row for row in rows])
+
+
+C = fileio.CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 1])
+def test_chunked_trace_matches_one_shot_writer(tmp_path, n):
+    trace = random_trace(n)
+    path = tmp_path / "trace.csv"
+    fileio.write_trace_csv(trace, path)
+    cols = [getattr(trace, field).tolist() for field in FIELDS]
+    assert path.read_text() == one_shot_csv(fileio.TRACE_HEADER, zip(*cols),
+                                            len(FIELDS))
+    if n < 2:
+        with pytest.raises(fileio.FormatError, match="no usable data rows"):
+            fileio.read_trace_csv(path)
+        return
+    back = fileio.read_trace_csv(path)
+    for field, col in zip(FIELDS, cols):
+        assert getattr(back, field).tolist() == [float(fileio.fmt(x))
+                                                 for x in col]
+
+
+def test_chunked_feature_map_matches_one_shot_writer(tmp_path):
+    # a failed cell writes nan features and its error class as status
+    cells = [SweepCell(alpha=0.5 + k / 3.0, beta=1.0 + k / 7.0,
+                       status="NoPeakError", stage="peak_height",
+                       message="monotone") if k % 5 == 2 else
+             SweepCell(alpha=0.5 + k / 3.0, beta=1.0 + k / 7.0,
+                       features=SimpleNamespace(height=k / 11.0,
+                                                skewness=-k / 13.0))
+             for k in range(C + 1)]
+    fmap = FeatureMap(alpha_grid=None, beta_grid=None, cells=cells,
+                      c_total=100.0, r_parallel=0.01, sim_config=None,
+                      smoothing=None)
+    path = tmp_path / "featuremap.csv"
+    fileio.write_featuremap_csv(fmap, path)
+    rows = [(c.alpha, c.beta, c.product,
+             c.features.height if c.ok else math.nan,
+             c.features.skewness if c.ok else math.nan, c.status)
+            for c in cells]
+    text = path.read_text()
+    assert text == one_shot_csv(fileio.FEATUREMAP_HEADER, rows, 5, ",%s")
+    header, *lines = text.splitlines()
+    assert header == fileio.FEATUREMAP_HEADER
+    for line, row in zip(lines, rows, strict=True):
+        *floats, status = line.split(",")
+        assert status == row[-1]
+        assert np.array_equal([float(x) for x in floats],
+                              [float(fileio.fmt(x)) for x in row[:-1]],
+                              equal_nan=True)
+
+
+def test_chunked_product_curve_round_trips(tmp_path):
+    bins = [ProductBin(product=0.25 + k / 1000.0, mean_height=k / 7.0,
+                       mean_skewness=-k / 9.0, spread_height=k / 11.0,
+                       spread_skewness=k / 13.0, n=k % 4 + 1)
+            for k in range(C + 1)]
+    path = tmp_path / "curve.csv"
+    fileio.write_product_curve_csv(ProductCurve(rows=bins), path)
+    assert path.read_text() == one_shot_csv(
+        fileio.PRODUCT_CURVE_HEADER,
+        [(b.product, b.mean_height, b.mean_skewness, b.spread_height,
+          b.spread_skewness, b.n) for b in bins], 5, ",%s")
+    back = fileio.read_product_curve_csv(path).rows
+    assert [b.n for b in back] == [b.n for b in bins]
+    assert [b.mean_skewness for b in back] == [
+        float(fileio.fmt(b.mean_skewness)) for b in bins]
+
+
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    """A 10,000-row trace CSV; data row 7,000 sits on file line 7,001."""
+    path = tmp_path_factory.mktemp("long") / "trace.csv"
+    fileio.write_trace_csv(random_trace(10_000, seed=1), path)
+    return path
+
+
+@pytest.mark.parametrize("edit,where", [
+    (lambda cells: cells[:3] + ["x7"] + cells[4:],
+     "column i2_A holds the non-numeric value 'x7'"),
+    (lambda cells: cells[:6], "column q_pair_Ah is missing (6 of 10 cells)"),
+    (lambda cells: cells[:8] + ["inf"] + cells[9:],
+     "column q2_Ah holds the non-finite value inf"),
+])
+def test_bad_row_deep_in_long_file_is_named(long_csv, tmp_path, edit,
+                                            where):
+    lines = long_csv.read_text().splitlines()
+    lines[7000] = ",".join(edit(lines[7000].split(",")))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.FormatError) as err:
+        fileio.read_trace_csv(bad)
+    assert str(err.value) == f"{bad} line 7001: {where}"
+
+
+def test_whitespace_line_deep_in_long_file_reads_like_clean_file(long_csv,
+                                                                 tmp_path):
+    lines = long_csv.read_text().splitlines()
+    lines.insert(7000, " \t ")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n".join(lines) + "\n")
+    want, got = fileio.read_trace_csv(long_csv), fileio.read_trace_csv(spaced)
+    for field in FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_header_only_files_rejected_without_numpy_warning(tmp_path):
+    trace, curve = tmp_path / "trace.csv", tmp_path / "curve.csv"
+    trace.write_text(f"\n  \n{fileio.TRACE_HEADER}\n\n \n")
+    curve.write_text(f"{fileio.PRODUCT_CURVE_HEADER}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fileio.FormatError, match="no usable data rows"):
+            fileio.read_trace_csv(trace)
+        with pytest.raises(fileio.FormatError, match="has no data rows"):
+            fileio.read_product_curve_csv(curve)
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    rows = [[0.5 * k + c for c in range(len(COLUMNS))] for k in range(3)]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write(rows, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = fileio.read_trace_csv(plain), fileio.read_trace_csv(marked)
+    for field in FIELDS:
+        assert list(getattr(got, field)) == list(getattr(want, field))
+
+    curve = tmp_path / "curve.csv"
+    curve.write_bytes(b"\xef\xbb\xbf" + (
+        f"{fileio.PRODUCT_CURVE_HEADER}\n1,0.1,0.2,0,0,3\n").encode())
+    assert fileio.read_product_curve_csv(curve).rows == [
+        ProductBin(1.0, 0.1, 0.2, 0.0, 0.0, 3)]
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_undecodable_bytes_rejected(tmp_path, where):
+    # a Latin-1 degree sign, as a spreadsheet in a Western locale writes it
+    header = b"t_s,i_total_A,vt_V"
+    rows = [b"%d,-40,4.1" % k for k in range(2000)]
+    if where == "header":
+        header += b"\xb0"
+    else:                       # past the first block the decoder reads
+        rows[1500] += b"\xb0"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\n".join([header, *rows]) + b"\n")
+    with pytest.raises(fileio.FormatError, match="cannot read .*utf-8"):
+        fileio.read_trace_csv(path)
+
+
+def test_clean_file_is_never_read_as_text(long_csv, monkeypatch):
+    def no_text(path):
+        raise AssertionError(f"{path} read as text")
+
+    monkeypatch.setattr(fileio, "_read_text", no_text)
+    assert len(fileio.read_trace_csv(long_csv)) == 10_000
+
+
+def test_memory_stays_bounded_by_array_bytes(tmp_path):
+    trace = random_trace(100_000, seed=2)
+    array_bytes = sum(getattr(trace, field).nbytes for field in FIELDS)
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        fileio.write_trace_csv(trace, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fileio.read_trace_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # writing the whole text at once peaked near 8x, reading it near 5.7x
+    assert write_peak <= 0.25 * array_bytes
+    assert read_peak <= 1.5 * array_bytes
