@@ -233,14 +233,9 @@ def _read_text(path: Path) -> str:
 
 def _read_table(path, parse_header):
     """The header names and the data rows of a CSV, as a float array with
-    one column per name.
-
-    parse_header(path, line) checks the first nonblank line and returns its
-    column names before any row is parsed. The open file then goes to
-    np.loadtxt; only when that fails is the text read and parsed by
-    _numeric_rows, which drops whitespace-only lines or names the bad row's
-    file line and column.
-    """
+    one column per name. parse_header(path, line) checks the first nonblank
+    line and returns its names before any row is parsed; the text is read
+    for _numeric_rows only when _parse_rest fails."""
     try:
         with open(path, encoding="utf-8-sig") as csv:
             line = _next_nonblank(csv)
