@@ -9,9 +9,8 @@ from .errors import (ConfigError, DomainError, EmptyWindowError, FeatureError,
                      NoPeakError, PairDvaError, SpanError, SweepError)
 from .halfcell import docv_dz, ocv, u_neg, u_pos
 from .kernels import backend
-from .pairsim import (CellParams, PairSpec, SimConfig, SimTrace, current_split,
-                      make_pair, simulate_cc_discharge, single_cell_reference,
-                      terminal_voltage)
+from .pairsim import (CellParams, PairSpec, SimConfig, SimTrace, make_pair,
+                      simulate_cc_discharge, single_cell_reference)
 from .signal import (DvDqCurve, PeakSample, SmoothingConfig, VOLTAGE_WINDOW,
                      downselect_window, dvdq_curve, peak_height,
                      resample_uniform_q)
@@ -31,8 +30,7 @@ __all__ = [
     "docv_dz", "ocv", "u_neg", "u_pos",
     "backend",
     "CellParams", "PairSpec", "SimConfig", "SimTrace",
-    "current_split", "make_pair", "simulate_cc_discharge",
-    "single_cell_reference", "terminal_voltage",
+    "make_pair", "simulate_cc_discharge", "single_cell_reference",
     "DvDqCurve", "PeakSample", "SmoothingConfig", "VOLTAGE_WINDOW",
     "downselect_window", "dvdq_curve", "peak_height", "resample_uniform_q",
     "AnalysisConfig", "PeakFeatures", "SkewnessResult", "SurrogateFit",

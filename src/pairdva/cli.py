@@ -69,10 +69,11 @@ _SCHEMA.update(skew_resolution=(_float_or_none, None), outdir=(str, None),
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat key = value file; '#' starts a comment."""
+    """Parse a flat key = value file of UTF-8 text, with or without a
+    byte-order mark; '#' starts a comment."""
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
         raise FormatError(f"cannot read config file {path}: {err}") from err
     values = {}
     for ln_no, raw in enumerate(text.splitlines(), 1):

@@ -83,18 +83,15 @@ def _residual(theta, q, v):
     return _model(theta, q) - v
 
 
-def _jacobian(theta, q):
+def _jacobian(J, theta, q):
+    """Write the model's Jacobian at theta into J's columns 3-5; columns
+    0-2 hold 1, q and q^2 whatever theta is."""
     _, _, _, d, e, f = theta
     t = np.tanh((q - e) / f)
     sech2 = 1.0 - t * t
-    J = np.empty((len(q), 6))
-    J[:, 0] = 1.0
-    J[:, 1] = q
-    J[:, 2] = q * q
     J[:, 3] = -t
     J[:, 4] = d * sech2 / f
     J[:, 5] = d * sech2 * (q - e) / (f * f)
-    return J
 
 
 def _scaled_gradient(J, r, v_scale):
@@ -152,17 +149,28 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
     cost = float(r @ r)
     lam = 1e-3
     n_iter = 0
+    # the damped normal equations are solved as the augmented least-squares
+    # system [J; sqrt(lam) diag(col)] step = [-r; 0], written in place: J's
+    # constant columns once, its other columns and -r once per iteration,
+    # the diagonal once per damping try
+    n = len(q)
+    A = np.zeros((n + 6, 6))
+    rhs = np.zeros(n + 6)
+    J = A[:n]
+    J[:, 0] = 1.0
+    J[:, 1] = q
+    J[:, 2] = q * q
+    diag = A[n:].reshape(-1)[::7]       # a view of the lower block's diagonal
     for n_iter in range(1, FIT_MAX_ITER + 1):
-        J = _jacobian(theta, q)
+        _jacobian(J, theta, q)
         if _scaled_gradient(J, r, v_scale) < FIT_GTOL:
             break
         col = np.sqrt((J * J).sum(axis=0))
         col[col < 1e-30] = 1.0
+        np.negative(r, out=rhs[:n])
         improved = False
         for _ in range(25):
-            # solve the damped normal equations via an augmented lstsq
-            A = np.vstack((J, np.sqrt(lam) * np.diag(col)))
-            rhs = np.concatenate((-r, np.zeros(6)))
+            np.multiply(np.sqrt(lam), col, out=diag)
             step, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             trial = theta + step
             r_t = _residual(trial, q, v)
@@ -181,7 +189,7 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
     if theta[5] < 0.0:   # tanh is odd; normalize to positive width
         theta[3] = -theta[3]
         theta[5] = -theta[5]
-    J = _jacobian(theta, q)
+    _jacobian(J, theta, q)
     scaled = _scaled_gradient(J, r, v_scale)
     rms = float(np.sqrt(cost / len(q)))
     converged = bool(scaled < 1e-8 and rms <= fit_tol)

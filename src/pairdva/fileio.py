@@ -10,8 +10,8 @@ reader takes the header line, then hands the open file to np.loadtxt, so
 it holds no copy of the text; only a file that parse rejects (a
 whitespace-only line, a malformed or a non-finite cell) is read again as
 text, to drop those lines or to name the bad cell's file line and column.
-Readers decode UTF-8 and drop a leading byte-order mark, as spreadsheet
-exports write one.
+Readers, the features JSON's too, decode UTF-8 and drop a leading
+byte-order mark, as spreadsheet exports write one.
 """
 
 import dataclasses
@@ -63,16 +63,24 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_rows(path, header: str, rows, n_floats: int, tail: str = ""):
-    """Write the header line, then one line per row: n_floats cells in fmt's
-    12 digits ("%.12g" % x is the text of f"{x:.12g}"), then tail % the rest
-    of the row. The rows are formatted and written CHUNK_ROWS at a time."""
+def _write_rows(path, header: str, chunks, n_floats: int, tail: str = ""):
+    """Write the header line, then the rows of each chunk. A chunk is its
+    row count and a tuple of its cells, row after row; a row is n_floats
+    cells in fmt's 12 digits ("%.12g" % x is the text of f"{x:.12g}"), then
+    tail % the rest of the row. One % formats and one write writes a
+    chunk."""
     row_format = ",".join(["%.12g"] * n_floats) + tail + "\n"
-    rows = iter(rows)
     with open(path, "w") as out:
         out.write(header + "\n")
-        while lines := [row_format % row for row in islice(rows, CHUNK_ROWS)]:
-            out.write("".join(lines))
+        for n_rows, cells in chunks:
+            out.write((row_format * n_rows) % cells)
+
+
+def _chunks(rows):
+    """The rows of a table as _write_rows chunks of CHUNK_ROWS rows."""
+    rows = iter(rows)
+    while batch := list(islice(rows, CHUNK_ROWS)):
+        yield len(batch), tuple(chain.from_iterable(batch))
 
 
 def _round12(x):
@@ -120,11 +128,13 @@ def sidecar(kind: str, run_config: dict, **fields) -> dict:
 def write_trace_csv(trace: SimTrace, path):
     cols = [np.asarray(getattr(trace, field), dtype=float)
             for field, _ in TRACE_COLUMNS.values()]
-    # a chunk's column slices become Python floats only as it is written
-    rows = chain.from_iterable(
-        zip(*(c[start:start + CHUNK_ROWS].tolist() for c in cols))
-        for start in range(0, len(cols[0]), CHUNK_ROWS))
-    _write_rows(path, TRACE_HEADER, rows, len(cols))
+    # a chunk's rows are stacked, and become Python floats, only as it is
+    # written
+    blocks = (np.column_stack([c[start:start + CHUNK_ROWS] for c in cols])
+              for start in range(0, len(cols[0]), CHUNK_ROWS))
+    _write_rows(path, TRACE_HEADER,
+                ((len(b), tuple(b.ravel().tolist())) for b in blocks),
+                len(cols))
 
 
 def trace_sidecar(trace: SimTrace, run_config: dict) -> dict:
@@ -319,8 +329,12 @@ _JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,)}
 def read_features_json(path) -> PeakFeatures:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
+        raise FormatError(f"cannot read features file {path}: {err}") from err
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
         raise FormatError(f"cannot parse features file {path}: {err}") from err
 
     def name(key, prefix):
@@ -387,7 +401,7 @@ def write_featuremap_csv(fmap: FeatureMap, path):
              *((c.features.height, c.features.skewness) if c.ok
                else (math.nan, math.nan)),
              c.status) for c in fmap.cells]
-    _write_rows(path, FEATUREMAP_HEADER, rows, 5, ",%s")
+    _write_rows(path, FEATUREMAP_HEADER, _chunks(rows), 5, ",%s")
 
 
 def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
@@ -407,7 +421,7 @@ def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
 def write_product_curve_csv(curve: ProductCurve, path):
     rows = [(r.product, r.mean_height, r.mean_skewness, r.spread_height,
              r.spread_skewness, r.n) for r in curve.rows]
-    _write_rows(path, PRODUCT_CURVE_HEADER, rows, 5, ",%s")
+    _write_rows(path, PRODUCT_CURVE_HEADER, _chunks(rows), 5, ",%s")
 
 
 def _product_curve_header(path, line):

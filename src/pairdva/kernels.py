@@ -1,4 +1,4 @@
-"""Numerical kernels: electrode potentials, pair state, the RK4 discharge.
+"""Numerical kernels: electrode potentials and a pair's RK4 discharge.
 
 The electrode potentials are written once, over numpy's ufuncs, and give
 the same bits on a float and on an array. The discharge is fixed-step RK4,
@@ -119,29 +119,15 @@ def ocv_and_slope(z):
     return _pos(tp) - _neg(tn), _slope(z, tp, tn)
 
 
-# --- pair algebra ---------------------------------------------------------
-
-def _split(u1, u2, r1, r2, i_total):
-    # KCL-consistent split: i1 + i2 == i_total and both cells see the same
-    # terminal voltage v_t == ocv(z) + i*r
-    r_tot = r1 + r2
-    delta = u2 - u1
-    i1 = (delta + r2 * i_total) / r_tot
-    i2 = (-delta + r1 * i_total) / r_tot
-    v_t = (r1 * u2 + r2 * u1) / r_tot + r1 * r2 * i_total / r_tot
-    return i1, i2, v_t
-
-
-def pair_state(z1, z2, r1, r2, i_total):
-    return _split(ocv(z1), ocv(z2), r1, r2, i_total)
-
-
 # --- discharge integration -------------------------------------------------
-# Fixed-step RK4 with the algebraic current split evaluated at every stage;
-# the recorded pre-step sample doubles as stage k1. Termination is checked
-# on the recorded sample in the order: cutoff voltage, SOC floor, time
-# limit (reasons 1/2/3). Reason 4 flags an SOC excursion beyond
-# [-1e-9, 1 + 1e-9] after a step and is turned into an error by the caller.
+# Fixed-step RK4 with the algebraic current split evaluated at every stage:
+# i1 = (delta + r2 i) / (r1 + r2) and i2 = (-delta + r1 i) / (r1 + r2),
+# delta = ocv(z2) - ocv(z1), so i1 + i2 == i and both cells see one
+# terminal voltage v_t = ocv(z_k) + r_k i_k. The recorded pre-step sample
+# doubles as stage k1. Termination is checked on the recorded sample in
+# the order: cutoff voltage, SOC floor, time limit (reasons 1/2/3).
+# Reason 4 flags an SOC excursion beyond [-1e-9, 1 + 1e-9] after a step
+# and is turned into an error by the caller.
 #
 # The recursion x_{k+1} = Phi(x_k) is solved by Newton's method on a window
 # of steps that slides along the run. Each iteration takes the RK4 step
@@ -180,6 +166,12 @@ def step_bound(distance, step, n_max):
                max(0, math.ceil(distance / math.copysign(margin, step))) + 2)
 
 
+def _first(mask, default):
+    """Index of the first True of a nonempty boolean row, or default."""
+    k = int(mask.argmax())
+    return k if mask[k] else default
+
+
 def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
              dt, n_max, v_cutoff, soc_floor, t_max):
     caps = np.array([[c1_as], [c2_as]], dtype=float)
@@ -188,32 +180,28 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     dk_di1 = np.array([[1.0], [-1.0]]) / caps
     r_tot = r1 + r2
 
-    # _split's two currents from the stacked OCVs in one array, by its
-    # arithmetic: (delta + r2 i_total) / r_tot, (-delta + r1 i_total) / r_tot
+    # the split's two currents from the stacked OCVs u in one array:
+    # (delta + r2 i_total) / r_tot, (-delta + r1 i_total) / r_tot
     signs = np.array([[1.0], [-1.0]])
     offsets = np.array([[r2 * i_total], [r1 * i_total]])
+    v_offset = r1 * r2 * i_total / r_tot
     di1_du = np.array([[-1.0], [1.0]]) / r_tot
 
-    def rates(u):
-        return (signs * (u[1] - u[0]) + offsets) / r_tot / caps
+    def currents(u):
+        return (signs * (u[1] - u[0]) + offsets) / r_tot
 
     def step(x):
-        """One RK4 step from each column of x: the increments, rho with
-        dPhi/dx ~ I + dk_di1 rho^T, and the stage-1 currents and terminal
-        voltage."""
+        """One RK4 step from each column of x: the increments, the OCV
+        slopes, and the stage-1 currents and terminal voltage."""
         u, du = ocv_and_slope(x)
-        i1, i2, vt = _split(u[0], u[1], r1, r2, i_total)
-        k1 = np.stack((i1, i2)) / caps
-        k2 = rates(ocv(x + 0.5 * dt * k1))
-        k3 = rates(ocv(x + 0.5 * dt * k2))
-        k4 = rates(ocv(x + dt * k3))
+        i = currents(u)
+        k1 = i / caps
+        k2 = currents(ocv(x + 0.5 * dt * k1)) / caps
+        k3 = currents(ocv(x + 0.5 * dt * k2)) / caps
+        k4 = currents(ocv(x + dt * k3)) / caps
         inc = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # RK4 on rates with the fixed Jacobian dk_di1 w^T steps by
-        # I + dk_di1 rho^T, rho = dt (1 + h/2 + h^2/6 + h^3/24) w, h = dt u.w
-        w = di1_du * du
-        h = dt * (dk_di1 * w).sum(0)
-        return (inc, dt * (1.0 + h * (0.5 + h * (1.0 / 6.0 + h / 24.0))) * w,
-                i1, i2, vt)
+        # v_t = (r1 u2 + r2 u1) / r_tot + r1 r2 i_total / r_tot
+        return inc, du, i, (r1 * u[1] + r2 * u[0]) / r_tot + v_offset
 
     def window(x0, inc):
         """x0 followed by the step-by-step sums of the increments, the last
@@ -226,30 +214,40 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         steps[:, n + 1:] = inc[:, -1:]
         return np.add.accumulate(steps, axis=1)
 
-    def newton(inc, rho, defect):
-        """The increments inc after one Newton step. defect[:, k] is the
-        defect of the step into the state inc[:, k] steps from, so that
-        state's correction is delta_k = D_k + dk_di1 S_k, D the running sum
-        of the defects, and inc[:, k] gains dk_di1 rho_k.delta_k."""
-        d = np.cumsum(defect, axis=1)
+    def newton(inc, du, defect):
+        """The increments inc after one Newton step. du[:, k] is the OCV
+        slope at the state inc[:, k] steps from, and defect[:, k] the
+        defect of the step into it, so that state's correction is delta_k
+        = D_k + dk_di1 S_k, D the running sum of the defects, and inc[:, k]
+        gains dk_di1 rho_k.delta_k."""
+        # RK4 on rates with the fixed Jacobian dk_di1 w^T steps by
+        # I + dk_di1 rho^T, rho = dt (1 + h/2 + h^2/6 + h^3/24) w, h = dt u.w
+        w = di1_du * du
+        h = dt * (dk_di1 * w).sum(0)
+        rho = dt * (1.0 + h * (0.5 + h * (1.0 / 6.0 + h / 24.0))) * w
+        d = defect.cumsum(1)
         a = (dk_di1 * rho).sum(0)
-        g = np.cumprod(1.0 + a)
-        s = g * np.cumsum((rho * d).sum(0) / g)     # S_1..S_m
+        g = (1.0 + a).cumprod()
+        s = g * ((rho * d).sum(0) / g).cumsum()     # S_1..S_m
         # rho_k.delta_k = b_k + a_k S_k = S_{k+1} - S_k
-        return inc + dk_di1 * np.diff(s, prepend=0.0)
+        ds = diffs[:len(s)]
+        ds[:1] = s[:1]
+        np.subtract(s[1:], s[:-1], out=ds[1:])
+        return inc + dk_di1 * ds
 
-    def record(x, nxt, c1, c2, v):
+    def record(x, nxt, i, v):
         """Copy samples start.. of states x with successors nxt; the index
         of the first one that ends the run, and its reason, or None."""
-        kept.append((x.copy(), c1.copy(), c2.copy(), v.copy()))
-        codes = np.select(
-            [v <= v_cutoff, x.min(0) <= soc_floor,
-             np.arange(start, start + len(v)) * dt >= t_max,
-             ~((nxt >= -1e-9) & (nxt <= 1.0 + 1e-9)).all(0)], [1, 2, 3, 4])
-        hits = np.flatnonzero(codes)
-        if hits.size:
-            return start + int(hits[0]), int(codes[hits[0]])
-        return None
+        kept.append((x.copy(), i.copy(), v.copy()))
+        ends = (v <= v_cutoff, x.min(0) <= soc_floor,
+                np.arange(start, start + len(v)) * dt >= t_max,
+                ~((nxt >= -1e-9) & (nxt <= 1.0 + 1e-9)).all(0))
+        k = _first(ends[0] | ends[1] | ends[2] | ends[3], None)
+        if k is None:
+            return None
+        # the reason is the first end, in the loop's order, at that sample
+        return start + k, next(code for code, end in enumerate(ends, 1)
+                               if end[k])
 
     # RK4 keeps C1 z1 + C2 z2 linear in time, and the pair stops by the
     # step where this mean crosses the SOC floor (or 1 + 1e-9 when
@@ -263,29 +261,27 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     # the run's length, not n_max, and a window's other states are freed
     kept = []
     start = 0
+    diffs = np.empty(WINDOW)        # newton's S_{k+1} - S_k
     # trial states of a window may overflow, and the running product g
     # of a long window underflow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the first window: the first state, held for one step
         x = np.repeat(np.array([[z1_0], [z2_0]], dtype=float), 2, axis=1)
         while True:
-            inc, rho, c1, c2, v = step(x[:, :-1])
+            inc, du, i, v = step(x[:, :-1])
             nxt = x[:, :-1] + inc
             defect = nxt - x[:, 1:]
             m = defect.shape[1]
-            cut = int(np.flatnonzero(
-                ~np.isfinite(defect).all(0)).min(initial=m))
-            keep = min(m, 1 + int(np.flatnonzero(
-                np.any(defect != 0.0, axis=0)).min(initial=m)))
-            stop = record(x[:, :keep], nxt[:, :keep], c1[:keep], c2[:keep],
-                          v[:keep])
+            cut = _first(~np.isfinite(defect).all(0), m)
+            keep = min(m, 1 + _first((defect != 0.0).any(0), m))
+            stop = record(x[:, :keep], nxt[:, :keep], i[:, :keep], v[:keep])
             start += keep
             if stop or start == n_max:
                 n, reason = (stop[0] + 1, stop[1]) if stop else (n_max, 0)
-                z, i1, i2, vt = (np.concatenate(part, axis=-1)[..., :n]
-                                 for part in zip(*kept))
-                return z[0], z[1], i1, i2, vt, n, reason
-            fix = newton(inc[:, keep:cut], rho[:, keep:cut],
+                z, i, vt = (np.concatenate(part, axis=-1)[..., :n]
+                            for part in zip(*kept))
+                return z[0], z[1], i[0], i[1], vt, n, reason
+            fix = newton(inc[:, keep:cut], du[:, keep:cut],
                          defect[:, keep - 1:cut - 1])
             x = window(nxt[:, keep - 1],
                        fix if fix.size else inc[:, keep - 1:keep])

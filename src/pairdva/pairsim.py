@@ -14,7 +14,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, IntegrationError
-from .halfcell import _checked
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -135,27 +134,6 @@ def make_pair(alpha: float, beta: float, c_total: float = PairSpec.c_total,
               r_parallel: float = PairSpec.r_parallel) -> PairSpec:
     """The pair with these imbalance ratios and nameplate."""
     return PairSpec(alpha, beta, c_total, r_parallel)
-
-
-def current_split(z1, z2, params: PairSpec, i_total):
-    """Split the pair current between the cells at the given SOCs.
-
-    Returns (i1, i2) with i1 + i2 == i_total; both cells see the same
-    terminal voltage under this split.
-    """
-    return _pair_state(z1, z2, params, i_total)[:2]
-
-
-def terminal_voltage(z1, z2, params: PairSpec, i_total):
-    """Pair terminal voltage at the given SOCs and total current."""
-    return _pair_state(z1, z2, params, i_total)[2]
-
-
-def _pair_state(z1, z2, params: PairSpec, i_total):
-    return kernels.pair_state(
-        _checked(z1), _checked(z2),
-        params.cell1.resistance_ohm, params.cell2.resistance_ohm,
-        float(i_total))
 
 
 def _n_max(config: SimConfig) -> int:

@@ -325,6 +325,45 @@ def test_byte_order_mark_gives_the_same_features(workdir, sim_dir):
     assert json.loads(got.stdout) == json.loads(want.stdout)
 
 
+def assert_one_read_error(proc, message):
+    """Exit 2 with one JSON FormatError line on stderr, no traceback."""
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    doc = stderr_json(proc)
+    assert (doc["error"], doc["stage"]) == ("FormatError", "io")
+    assert doc["message"].startswith(message)
+
+
+def test_latin1_config_comment_rejected(workdir):
+    # a Latin-1 degree sign, as an editor in a Western locale saves it
+    cfg = workdir / "latin1.cfg"
+    cfg.write_bytes(b"# cell at 25 \xb0C\nc_rate = 0.5\n")
+    proc = run_cli(["simulate", "--config", str(cfg), "--outdir",
+                    str(workdir / "latin1")], cwd=workdir)
+    assert_one_read_error(proc, f"cannot read config file {cfg}: ")
+
+
+def test_latin1_features_file_rejected(baseline_features, workdir):
+    path = workdir / "latin1.json"
+    text = fileio.dumps_json(fileio.features_dict(baseline_features))
+    path.write_bytes(text.replace('"numpy"', '"numpy \xb0C"')
+                     .encode("latin-1"))
+    # the features file is read, and rejected, before the curve
+    proc = run_cli(["identify", str(path), "nope.csv"], cwd=workdir)
+    assert_one_read_error(proc, f"cannot read features file {path}: ")
+
+
+def test_byte_order_mark_config_is_read(workdir):
+    cfg, out = workdir / "bom.cfg", workdir / "bomcfg"
+    cfg.write_bytes(b"\xef\xbb\xbfc_rate = 0.5\nt_max_s = 100\n")
+    proc = run_cli(["simulate", "--config", str(cfg), "--outdir", str(out)],
+                   cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    side = json.loads((out / "trace.json").read_text())
+    assert (side["sim_config"]["c_rate"], side["sim_config"]["t_max"]) == (
+        0.5, 100.0)
+
+
 def test_flags_override_config_file(workdir, sim_dir):
     cfg = workdir / "narrow.cfg"
     cfg.write_text("# narrower analysis band\nv_lo = 3.75\n")

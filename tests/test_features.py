@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from pairdva import (ConfigError, FeatureError, FitWarning, SpanError,
-                     extract_features, fit_positive_surrogate,
+                     SurrogateFit, VOLTAGE_WINDOW, downselect_window,
+                     dvdq_curve, extract_features, fit_positive_surrogate,
+                     make_pair, peak_height, simulate_cc_discharge,
                      skewness_pipeline, weighted_skewness)
+from pairdva import features, fileio
 
 
 def surrogate(q, a, b, c, d, e, f):
@@ -225,3 +228,112 @@ def test_extract_features_matches_golden(balanced_trace):
     assert feats.fit.converged
     assert feats.fit.residual_rms < 5e-4
     assert feats.window == (3.7, 3.9)
+
+
+# --- the fit against its reference loop -----------------------------------
+
+def _reference_fit(q, v, hints):
+    """The damped Gauss-Newton loop of fit_positive_surrogate with a fresh
+    Jacobian and augmented system per try, as it was first written: the
+    reference for the fit, which writes them in place. Returns the fit and
+    the number of damping retries."""
+    theta = features._default_init(q, v)
+    for i, name in enumerate("abcdef"):
+        if name in hints:
+            theta[i] = float(hints[name])
+
+    def jacobian(theta):
+        _, _, _, d, e, f = theta
+        t = np.tanh((q - e) / f)
+        sech2 = 1.0 - t * t
+        J = np.empty((len(q), 6))
+        J[:, 0] = 1.0
+        J[:, 1] = q
+        J[:, 2] = q * q
+        J[:, 3] = -t
+        J[:, 4] = d * sech2 / f
+        J[:, 5] = d * sech2 * (q - e) / (f * f)
+        return J
+
+    v_scale = max(1.0, float(np.max(np.abs(v))))
+    r = features._residual(theta, q, v)
+    cost = float(r @ r)
+    lam = 1e-3
+    n_iter = retries = 0
+    for n_iter in range(1, features.FIT_MAX_ITER + 1):
+        J = jacobian(theta)
+        if features._scaled_gradient(J, r, v_scale) < features.FIT_GTOL:
+            break
+        col = np.sqrt((J * J).sum(axis=0))
+        col[col < 1e-30] = 1.0
+        improved = False
+        for _ in range(25):
+            A = np.vstack((J, np.sqrt(lam) * np.diag(col)))
+            rhs = np.concatenate((-r, np.zeros(6)))
+            step, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+            trial = theta + step
+            r_t = features._residual(trial, q, v)
+            cost_t = float(r_t @ r_t)
+            if np.isfinite(cost_t) and cost_t < cost:
+                theta, r, cost = trial, r_t, cost_t
+                lam = max(lam / 3.0, 1e-14)
+                improved = True
+                break
+            lam *= 3.0
+            retries += 1
+            if lam > 1e14:
+                break
+        if not improved:
+            break
+    if theta[5] < 0.0:
+        theta[3] = -theta[3]
+        theta[5] = -theta[5]
+    scaled = features._scaled_gradient(jacobian(theta), r, v_scale)
+    rms = float(np.sqrt(cost / len(q)))
+    fit = SurrogateFit(*(float(x) for x in theta), residual_rms=rms,
+                       converged=bool(scaled < 1e-8
+                                      and rms <= features.FIT_TOL),
+                       scaled_gradient=scaled, n_iter=n_iter)
+    return fit, retries
+
+
+def _lab_trace(trace, seed, path):
+    """trace as pipebench's lab CSVs sample it: every 1-10 s from a random
+    phase, 0.05 mV voltage noise quantised to 0.1 mV, 20 mA current noise
+    quantised to 1 mA, pair columns only; read back from path."""
+    rng = np.random.default_rng([7, seed])
+    step = int(rng.integers(1, 11))
+    rows = slice(int(rng.integers(step)), None, step)
+    t = trace.t[rows].astype(np.int64)
+    v = np.round((trace.v_t[rows] + rng.normal(0.0, 5e-5, len(t))) * 1e4)
+    i = np.round((trace.i_total[rows] + rng.normal(0.0, 0.02, len(t))) * 1e3)
+    path.write_text("t_s,i_total_A,vt_V\n" + "".join(
+        f"{tk},{ik / 1e3:.3f},{vk / 1e4:.4f}\n"
+        for tk, ik, vk in zip(t.tolist(), i.tolist(), v.tolist())))
+    return fileio.read_trace_csv(path)
+
+
+def _window(trace):
+    """The fit's inputs in extract_features: the window and its hint."""
+    win = downselect_window(dvdq_curve(trace), *VOLTAGE_WINDOW)
+    return win.q, win.v, {"e": peak_height(win).q_at_peak}
+
+
+def test_fit_equals_reference_loop(balanced_trace, tmp_path):
+    traces = [balanced_trace] + [simulate_cc_discharge(make_pair(a, b))
+                                 for a, b in ((0.7, 1.6), (0.5, 2.0))]
+    cases = [_window(tr) for tr in traces]
+    cases += [_window(_lab_trace(traces[k % 3], k, tmp_path / f"{k}.csv"))
+              for k in range(9)]
+    # a far-off start that the damping must back away from
+    q = np.linspace(40.0, 60.0, 400)
+    cases.append((q, surrogate(q, **TRUE), {"d": 0.5, "e": 41.0, "f": 0.05}))
+    retries = 0
+    for q, v, hints in cases:
+        got = fit_positive_surrogate(q, v, init_hints=hints)
+        want, tries = _reference_fit(q, v, hints)
+        retries += tries
+        for name in SurrogateFit.__dataclass_fields__:
+            assert getattr(got, name) == getattr(want, name), name
+    # some tries were rejected, so the in-place damping was rewritten
+    assert retries > 0

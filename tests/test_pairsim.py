@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairdva import (CellParams, ConfigError, DomainError, IntegrationError,
-                     PairSpec, SimConfig, current_split, make_pair, ocv,
-                     simulate_cc_discharge, single_cell_reference,
-                     terminal_voltage)
+from pairdva import (CellParams, ConfigError, IntegrationError, PairSpec,
+                     SimConfig, make_pair, ocv, simulate_cc_discharge,
+                     single_cell_reference)
 from pairdva import kernels
 
 
@@ -114,40 +113,29 @@ def test_sim_config_validated():
 # --- algebraic split and voltage -------------------------------------------
 
 def test_equal_soc_split_is_resistive_divider():
-    p = make_pair(1.0, 2.0)        # r1 = 1.5 mOhm, r2 = 3 mOhm
-    i1, i2 = current_split(1.0, 1.0, p, -40.0)
-    assert i1 == pytest.approx(-40.0 * 2.0 / 3.0, abs=1e-12)
-    assert i2 == pytest.approx(-40.0 / 3.0, abs=1e-12)
+    # r1 = 1.5 mOhm, r2 = 3 mOhm; the first sample has both cells at z0
+    tr = simulate_cc_discharge(make_pair(1.0, 2.0), SimConfig(t_max=10.0))
+    assert tr.i_total[0] == -40.0 and tr.z1[0] == tr.z2[0] == 1.0
+    assert tr.i1[0] == pytest.approx(-40.0 * 2.0 / 3.0, abs=1e-12)
+    assert tr.i2[0] == pytest.approx(-40.0 / 3.0, abs=1e-12)
 
 
 def test_higher_soc_cell_carries_more_current():
-    p = make_pair(1.0, 1.0)
-    i1, i2 = current_split(0.6, 0.5, p, -40.0)
-    assert i1 + i2 == pytest.approx(-40.0, abs=1e-12)
-    assert abs(i1) > abs(i2)
+    # equal resistances: the cell at the higher OCV carries more current
+    tr = simulate_cc_discharge(make_pair(0.5, 1.0), SimConfig(t_max=3000.0))
+    higher = ocv(tr.z1) > ocv(tr.z2)
+    assert higher[1:].all()
+    assert (np.abs(tr.i1[higher]) > np.abs(tr.i2[higher])).all()
 
 
 def test_terminal_voltage_consistent_with_both_cells():
-    rng = np.random.default_rng(11)
     p = make_pair(0.7, 1.6)
-    r1 = p.cell1.resistance_ohm
-    r2 = p.cell2.resistance_ohm
-    for _ in range(100):
-        z1 = float(rng.uniform(0.05, 1.0))
-        z2 = float(rng.uniform(0.05, 1.0))
-        i_total = float(rng.uniform(-120.0, 0.0))
-        v = terminal_voltage(z1, z2, p, i_total)
-        i1, i2 = current_split(z1, z2, p, i_total)
-        assert v == pytest.approx(float(ocv(z1)) + r1 * i1, abs=1e-12)
-        assert v == pytest.approx(float(ocv(z2)) + r2 * i2, abs=1e-12)
-
-
-def test_split_rejects_out_of_range_soc():
-    p = make_pair(1.0, 1.0)
-    with pytest.raises(DomainError):
-        current_split(1.2, 0.5, p, -40.0)
-    with pytest.raises(DomainError):
-        terminal_voltage(0.5, -0.1, p, -40.0)
+    tr = simulate_cc_discharge(p, SimConfig(c_rate=1.0))
+    # per sample, the split keeps KCL and gives both cells one voltage
+    assert tr.i1 + tr.i2 == pytest.approx(tr.i_total, rel=0.0, abs=1e-12)
+    for z, r, i in ((tr.z1, p.cell1.resistance_ohm, tr.i1),
+                    (tr.z2, p.cell2.resistance_ohm, tr.i2)):
+        assert ocv(z) + r * i == pytest.approx(tr.v_t, rel=0.0, abs=1e-12)
 
 
 # --- integration ------------------------------------------------------------
@@ -275,6 +263,18 @@ def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
                    dt, n_max, v_cutoff, soc_floor, t_max):
     """The step-by-step RK4 loop: the reference for the windowed Newton
     solve in kernels.pair_rk4."""
+
+    def pair_state(z1, z2, r1, r2, i_total):
+        # KCL-consistent split: i1 + i2 == i_total and both cells see the
+        # same terminal voltage v_t == ocv(z) + i*r
+        u1, u2 = kernels.ocv(z1), kernels.ocv(z2)
+        r_tot = r1 + r2
+        delta = u2 - u1
+        i1 = (delta + r2 * i_total) / r_tot
+        i2 = (-delta + r1 * i_total) / r_tot
+        v_t = (r1 * u2 + r2 * u1) / r_tot + r1 * r2 * i_total / r_tot
+        return i1, i2, v_t
+
     # plain floats keep every step on float arithmetic; a numpy scalar
     # argument would carry numpy-scalar arithmetic through the loop
     c1_as, c2_as = float(c1_as), float(c2_as)
@@ -291,7 +291,7 @@ def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     reason = 0
     k = 0
     while k < n_max:
-        c1, c2, v = kernels.pair_state(a, b, r1, r2, i_total)
+        c1, c2, v = pair_state(a, b, r1, r2, i_total)
         z1[k] = a
         z2[k] = b
         i1[k] = c1
@@ -307,14 +307,13 @@ def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
             reason = 3
             break
         k1a, k1b = c1 / c1_as, c2 / c2_as
-        c1, c2, _ = kernels.pair_state(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b,
-                                       r1, r2, i_total)
+        c1, c2, _ = pair_state(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b,
+                               r1, r2, i_total)
         k2a, k2b = c1 / c1_as, c2 / c2_as
-        c1, c2, _ = kernels.pair_state(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b,
-                                       r1, r2, i_total)
+        c1, c2, _ = pair_state(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b,
+                               r1, r2, i_total)
         k3a, k3b = c1 / c1_as, c2 / c2_as
-        c1, c2, _ = kernels.pair_state(a + dt * k3a, b + dt * k3b,
-                                       r1, r2, i_total)
+        c1, c2, _ = pair_state(a + dt * k3a, b + dt * k3b, r1, r2, i_total)
         k4a, k4b = c1 / c1_as, c2 / c2_as
         a = a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         b = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
@@ -412,6 +411,41 @@ def test_sliding_window_matches_loop(alpha, beta, c_rate, dt, z0, t_max,
     # states, currents and voltage bit for bit, then n and the reason
     assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
     assert got[5:] == want[5:]
+
+
+def _tie_args(**kw):
+    """pair_rk4's arguments for (0.7, 1.6) at C/3, with overrides."""
+    pair = make_pair(0.7, 1.6)
+    c1, c2 = pair.cell1, pair.cell2
+    args = dict(z1_0=1.0, z2_0=1.0, c1_as=c1.capacity_ah * 3600.0,
+                c2_as=c2.capacity_ah * 3600.0, r1=c1.resistance_ohm,
+                r2=c2.resistance_ohm, i_total=-40.0, dt=1.0, n_max=100_000,
+                v_cutoff=3.0, soc_floor=0.02, t_max=1e9)
+    return {**args, **kw}
+
+
+@pytest.mark.parametrize("first, tie, reasons", [
+    ({"t_max": 300.0}, lambda out: {"v_cutoff": out[4][-1]}, (1, 3)),
+    ({"t_max": 300.0},
+     lambda out: {"soc_floor": min(out[0][-1], out[1][-1])}, (2, 3)),
+    ({"soc_floor": 0.9}, lambda out: {"v_cutoff": out[4][-1]}, (1, 2)),
+    # charging past full: the last sample's step leaves the SOC range
+    ({"z1_0": 0.99, "z2_0": 0.99, "i_total": 40.0, "dt": 60.0},
+     lambda out: {"t_max": (out[5] - 1) * 60.0}, (3, 4)),
+], ids=["v_cutoff+t_max", "soc_floor+t_max", "v_cutoff+soc_floor",
+        "t_max+excursion"])
+def test_tied_stops_take_the_loops_order(first, tie, reasons):
+    # a first run ends on one condition; a second run sets another one
+    # from its last sample, so both end the run on that same sample
+    args = _tie_args(**first)
+    out = _pair_rk4_loop(**args)
+    assert out[6] == reasons[1]
+    args.update(tie(out))
+    want = _pair_rk4_loop(**args)
+    assert want[5:] == (out[5], reasons[0])
+    got = kernels.pair_rk4(**args)
+    assert got[5:] == want[5:]
+    assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
 
 
 @pytest.mark.parametrize("alpha, beta, cfg, most", [
