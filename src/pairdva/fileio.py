@@ -10,7 +10,7 @@ reader takes the header line, then hands the open file to np.loadtxt, so
 it holds no copy of the text; only a file that parse rejects (a
 whitespace-only line, a malformed or a non-finite cell) is read again as
 text, to drop those lines or to name the bad cell's file line and column.
-Readers, the features JSON's too, decode UTF-8 and drop a leading
+The CSV and features JSON readers decode UTF-8 and drop a leading
 byte-order mark, as spreadsheet exports write one.
 """
 
