@@ -7,6 +7,7 @@ N(q) = P(q) - v, smooth and differentiate N, normalize dN/dq to a density
 over q, drop low-density samples, and take weighted moments.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,48 +71,55 @@ class PeakFeatures:
 @dataclass
 class SkewnessResult:
     skewness: float
-    mu: float
-    weights: np.ndarray    # renormalized masses on the samples kept
 
 
-def _model(theta, q):
-    a, b, c, d, e, f = theta
-    return a + b * q + c * q * q - d * np.tanh((q - e) / f)
+def _residual(theta, q, v, step=None):
+    """The model at theta minus v. step, when given, receives the q - e
+    and tanh((q - e)/f) it takes, in its two rows, from which _jacobian
+    writes the Jacobian at theta."""
+    a, b, c, d, e, f = theta.tolist()
+    qe, t = np.empty((2, len(q))) if step is None else step
+    np.subtract(q, e, out=qe)
+    np.tanh(qe / f, out=t)
+    return a + b * q + c * q * q - d * t - v
 
 
-def _residual(theta, q, v):
-    return _model(theta, q) - v
-
-
-def _jacobian(J, theta, q):
-    """Write the model's Jacobian at theta into J's columns 3-5; columns
-    0-2 hold 1, q and q^2 whatever theta is."""
-    _, _, _, d, e, f = theta
-    t = np.tanh((q - e) / f)
-    sech2 = 1.0 - t * t
-    J[:, 3] = -t
-    J[:, 4] = d * sech2 / f
-    J[:, 5] = d * sech2 * (q - e) / (f * f)
+def _jacobian(J, theta, step):
+    """Write the model's Jacobian at theta into J's columns 3-5, from the
+    q - e and tanh((q - e)/f) of _residual's step; columns 0-2 hold 1, q
+    and q^2 whatever theta is."""
+    _, _, _, d, _, f = theta.tolist()
+    qe, t = step
+    ds = d * (1.0 - t * t)                    # d sech^2
+    np.negative(t, out=J[:, 3])
+    np.divide(ds, f, out=J[:, 4])
+    np.divide(ds * qe, f * f, out=J[:, 5])
 
 
 def _scaled_gradient(J, r, v_scale):
-    # Optimality measure: cosine-like |J^T r|_inf / (|J|_F |r|_2). When the
-    # residual is at round-off level the direction of r is noise, so the
-    # point is stationary by construction and the measure is defined as 0.
-    rnorm = float(np.linalg.norm(r))
+    # Optimality measure: cosine-like |J^T r|_inf / (|J|_F |r|_2), the
+    # norms taken as np.linalg.norm takes them, sqrt(x.dot(x)) over the
+    # flat array. When the residual is at round-off level the direction of
+    # r is noise, so the point is stationary by construction and the
+    # measure is defined as 0.
+    rnorm = math.sqrt(r.dot(r))
     if rnorm / np.sqrt(len(r)) < 1e-10 * v_scale:
         return 0.0
-    jnorm = float(np.linalg.norm(J))
+    flat = J.reshape(-1)
+    jnorm = math.sqrt(flat.dot(flat))
     if jnorm == 0.0:
         return 0.0
-    return float(np.max(np.abs(J.T @ r)) / (jnorm * rnorm))
+    return float(np.abs(J.T @ r).max() / (jnorm * rnorm))
 
 
-def _default_init(q, v):
+def _default_init(q, v, e0=None):
+    """Start values; e0, when given, is the step centre and the steepest
+    drop is not looked for."""
     A = np.column_stack((np.ones_like(q), q, q * q))
     coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    slope = np.gradient(v, q)
-    e0 = float(q[int(np.argmax(-slope))])   # steepest drop marks the step
+    if e0 is None:
+        slope = np.gradient(v, q)
+        e0 = float(q[int(np.argmax(-slope))])   # steepest drop marks the step
     f0 = 0.02 * float(q[-1] - q[0])
     return np.array([coef[0], coef[1], coef[2], 0.01, e0, f0])
 
@@ -133,27 +141,30 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
     if len(q) < 50:
         raise SpanError("surrogate fit needs at least 50 samples",
                         stage="fit_positive_surrogate")
-    theta = _default_init(q, v)
-    if init_hints:
-        unknown = set(init_hints) - set(_PARAM_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown init hints: {sorted(unknown)}")
-        for i, name in enumerate(_PARAM_NAMES):
-            if name in init_hints:
-                theta[i] = float(init_hints[name])
+    init_hints = init_hints or {}
+    unknown = set(init_hints) - set(_PARAM_NAMES)
+    if unknown:
+        raise ConfigError(f"unknown init hints: {sorted(unknown)}")
+    theta = _default_init(q, v, init_hints.get("e"))
+    for i, name in enumerate(_PARAM_NAMES):
+        if name in init_hints:
+            theta[i] = float(init_hints[name])
     if theta[5] == 0.0:
         raise ConfigError("initial f must be nonzero")
 
     v_scale = max(1.0, float(np.max(np.abs(v))))
-    r = _residual(theta, q, v)
+    # each residual writes its q - e and tanh into a step buffer; the
+    # accepted trial's buffer becomes the one the Jacobian is written from
+    n = len(q)
+    step, spare = np.empty((2, n)), np.empty((2, n))
+    r = _residual(theta, q, v, step)
     cost = float(r @ r)
     lam = 1e-3
     n_iter = 0
     # the damped normal equations are solved as the augmented least-squares
-    # system [J; sqrt(lam) diag(col)] step = [-r; 0], written in place: J's
+    # system [J; sqrt(lam) diag(col)] dx = [-r; 0], written in place: J's
     # constant columns once, its other columns and -r once per iteration,
     # the diagonal once per damping try
-    n = len(q)
     A = np.zeros((n + 6, 6))
     rhs = np.zeros(n + 6)
     J = A[:n]
@@ -162,7 +173,7 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
     J[:, 2] = q * q
     diag = A[n:].reshape(-1)[::7]       # a view of the lower block's diagonal
     for n_iter in range(1, FIT_MAX_ITER + 1):
-        _jacobian(J, theta, q)
+        _jacobian(J, theta, step)
         if _scaled_gradient(J, r, v_scale) < FIT_GTOL:
             break
         col = np.sqrt((J * J).sum(axis=0))
@@ -170,13 +181,14 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
         np.negative(r, out=rhs[:n])
         improved = False
         for _ in range(25):
-            np.multiply(np.sqrt(lam), col, out=diag)
-            step, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            trial = theta + step
-            r_t = _residual(trial, q, v)
+            np.multiply(math.sqrt(lam), col, out=diag)
+            dx, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+            trial = theta + dx
+            r_t = _residual(trial, q, v, spare)
             cost_t = float(r_t @ r_t)
-            if np.isfinite(cost_t) and cost_t < cost:
+            if math.isfinite(cost_t) and cost_t < cost:
                 theta, r, cost = trial, r_t, cost_t
+                step, spare = spare, step
                 lam = max(lam / 3.0, 1e-14)
                 improved = True
                 break
@@ -189,7 +201,8 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
     if theta[5] < 0.0:   # tanh is odd; normalize to positive width
         theta[3] = -theta[3]
         theta[5] = -theta[5]
-    _jacobian(J, theta, q)
+        np.tanh(step[0] / theta[5], out=step[1])
+    _jacobian(J, theta, step)
     scaled = _scaled_gradient(J, r, v_scale)
     rms = float(np.sqrt(cost / len(q)))
     converged = bool(scaled < 1e-8 and rms <= fit_tol)
@@ -259,14 +272,15 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
             f"(need {MIN_SURVIVORS})")
     w = density[kept] * dq
     w = w / w.sum()
-    mu, _, skew = _weighted_moments(q[kept], w)
-    return SkewnessResult(skewness=skew, mu=mu, weights=w)
+    return SkewnessResult(skewness=_weighted_moments(q[kept], w)[2])
 
 
 def extract_features(trace, analysis: AnalysisConfig = None) -> PeakFeatures:
     """Full feature extraction for one discharge trace (pair signals only)."""
     analysis = analysis if analysis is not None else AnalysisConfig()
-    curve = dvdq_curve(trace, analysis.smoothing)
+    # the curve holds the window's run and the samples its dV/dQ reads
+    curve = dvdq_curve(trace, analysis.smoothing,
+                       (analysis.v_lo, analysis.v_hi))
     win = downselect_window(curve, analysis.v_lo, analysis.v_hi)
     peak = peak_height(win)
     fit = fit_positive_surrogate(win.q, win.v,

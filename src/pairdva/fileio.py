@@ -279,7 +279,9 @@ def read_trace_csv(path) -> SimTrace:
     required.
 
     A missing charge column is rebuilt by integrating |i_total| over time,
-    so measured pair-level data fits through the same format.
+    so measured pair-level data fits through the same format; a current
+    of the other sign from the first nonzero one (a charge segment inside
+    a discharge) raises FormatError naming its file line.
     """
     path = Path(path)
     header, data = _read_table(path, _trace_header)
@@ -287,8 +289,20 @@ def read_trace_csv(path) -> SimTrace:
         raise FormatError(f"{path} has no usable data rows")
     fields = dict(zip((TRACE_COLUMNS[name][0] for name in header), data.T))
     if "q_pair" not in fields:
+        i = fields["i_total"]
+        sign = np.sign(i)
+        first = int(np.argmax(sign != 0.0))     # the first nonzero current
+        back = np.flatnonzero(sign == -sign[first]) if sign[first] else []
+        if len(back):
+            rows = _numbered_rows(_read_text(path))
+            other = back[0]
+            raise FormatError(
+                f"{path} line {rows[other][0]}: column i_total_A holds "
+                f"{i[other]:g} A, of the other sign from the {i[first]:g} A "
+                f"on line {rows[first][0]}; the charge column cannot be "
+                f"rebuilt across a change of current direction")
         # cumulative trapezoid of |i| over t, from 0 at the first sample
-        t, i_abs = fields["t"], np.abs(fields["i_total"])
+        t, i_abs = fields["t"], np.abs(i)
         fields["q_pair"] = np.concatenate((
             [0.0], np.cumsum(np.diff(t) * (i_abs[1:] + i_abs[:-1]) / 2.0)
         )) / 3600.0

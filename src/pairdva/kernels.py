@@ -127,7 +127,11 @@ def ocv_and_slope(z):
 # doubles as stage k1. Termination is checked on the recorded sample in
 # the order: cutoff voltage, SOC floor, time limit (reasons 1/2/3).
 # Reason 4 flags an SOC excursion beyond [-1e-9, 1 + 1e-9] after a step
-# and is turned into an error by the caller.
+# and is turned into an error by the caller. Given past = (v_lo, q_past,
+# q_min), a discharge also ends (reason 5, last in the order) at the first
+# sample whose pair charge passes that of the first sample with v_t < v_lo
+# by q_past and the first sample's by q_min (amp-seconds); a caller that
+# reads the trace only that far past v_lo stops it there.
 #
 # The recursion x_{k+1} = Phi(x_k) is solved by Newton's method on a window
 # of steps that slides along the run. Each iteration takes the RK4 step
@@ -173,7 +177,7 @@ def _first(mask, default):
 
 
 def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
-             dt, n_max, v_cutoff, soc_floor, t_max):
+             dt, n_max, v_cutoff, soc_floor, t_max, past=None):
     caps = np.array([[c1_as], [c2_as]], dtype=float)
     # the rates are (i1 / c1, (i_total - i1) / c2), so the rate Jacobian
     # is the rank-one u w^T with u = dk_di1 and w = di1/dz
@@ -206,9 +210,10 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     def window(x0, inc):
         """x0 followed by the step-by-step sums of the increments, the last
         of them repeated up to the window's width."""
-        n = inc.shape[1]
         steps = np.empty(
             (2, 1 + min(WINDOW, n_max - start, max(last - start, 1))))
+        inc = inc[:, :steps.shape[1] - 1]    # last may have come closer
+        n = inc.shape[1]
         steps[:, 0] = x0
         steps[:, 1:n + 1] = inc
         steps[:, n + 1:] = inc[:, -1:]
@@ -238,11 +243,19 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     def record(x, nxt, i, v):
         """Copy samples start.. of states x with successors nxt; the index
         of the first one that ends the run, and its reason, or None."""
+        nonlocal watch, stop_at, last
         kept.append((x.copy(), i.copy(), v.copy()))
-        ends = (v <= v_cutoff, x.min(0) <= soc_floor,
-                np.arange(start, start + len(v)) * dt >= t_max,
-                ~((nxt >= -1e-9) & (nxt <= 1.0 + 1e-9)).all(0))
-        k = _first(ends[0] | ends[1] | ends[2] | ends[3], None)
+        if watch:
+            k = _first(v < v_lo, None)
+            if k is not None:   # samples past stop_at are not solved for
+                watch = False
+                stop_at = max(start + k + steps_past, steps_min)
+                last = min(last, stop_at + 1)
+        index = np.arange(start, start + len(v))
+        ends = (v <= v_cutoff, x.min(0) <= soc_floor, index * dt >= t_max,
+                ~((nxt >= -1e-9) & (nxt <= 1.0 + 1e-9)).all(0),
+                index >= stop_at)
+        k = _first(ends[0] | ends[1] | ends[2] | ends[3] | ends[4], None)
         if k is None:
             return None
         # the reason is the first end, in the loop's order, at that sample
@@ -256,6 +269,15 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     mean_step = dt * i_total / (c1_as + c2_as)
     bound = soc_floor if i_total < 0.0 else 1.0 + 1e-9
     last = step_bound(bound - mean_0, mean_step, n_max)
+    # the sample of reason 5, set once the first sample below v_lo is
+    # recorded; no sample reaches n_max
+    stop_at = n_max
+    watch = past is not None and i_total < 0.0
+    if watch:
+        v_lo, q_past, q_min = past
+        step_charge = dt * -i_total
+        steps_past = math.ceil(q_past / step_charge)
+        steps_min = math.ceil(q_min / step_charge)
 
     # copies of the recorded samples, joined at the end: the memory follows
     # the run's length, not n_max, and a window's other states are freed

@@ -17,7 +17,7 @@ from .errors import ConfigError, IntegrationError
 
 SECONDS_PER_HOUR = 3600.0
 
-_REASONS = {1: "v_cutoff", 2: "soc_floor", 3: "t_max"}
+_REASONS = {1: "v_cutoff", 2: "soc_floor", 3: "t_max", 5: "past_window"}
 
 
 def _require_positive(**values):
@@ -166,15 +166,31 @@ def simulate_cc_discharge(params: PairSpec,
     of: terminal voltage at/below v_cutoff, either SOC at/below soc_floor,
     or t >= t_max; the reason is recorded on the trace.
     """
+    return _discharge(params, config)
+
+
+def _discharge(params: PairSpec, config: SimConfig = None,
+               past: tuple = None) -> SimTrace:
+    """simulate_cc_discharge's run. Given past = (v_lo, past_ah, min_ah),
+    it also ends, with reason "past_window", at the first sample whose
+    charge passes that of the first sample below v_lo by past_ah and the
+    start by min_ah, each plus one step's charge: a uniform charge grid
+    then reaches that far, as its samples are interpolated between the
+    trace's."""
     config = config if config is not None else SimConfig()
     c1, c2 = params.cell1, params.cell2
     i_total = _discharge_current(config, c1.capacity_ah + c2.capacity_ah)
+    if past is not None:
+        v_lo, past_ah, min_ah = past
+        step_as = config.dt * abs(i_total)
+        past = (v_lo, past_ah * SECONDS_PER_HOUR + step_as,
+                min_ah * SECONDS_PER_HOUR + step_as)
     z1, z2, i1, i2, vt, n, reason = kernels.pair_rk4(
         config.z0, config.z0,
         c1.capacity_ah * SECONDS_PER_HOUR, c2.capacity_ah * SECONDS_PER_HOUR,
         c1.resistance_ohm, c2.resistance_ohm, i_total,
         config.dt, _n_max(config), config.v_cutoff, config.soc_floor,
-        config.t_max)
+        config.t_max, past)
     reason = _reason(reason)
     t = np.arange(n) * config.dt
     q_pair = np.abs(i_total) * t / SECONDS_PER_HOUR

@@ -6,7 +6,7 @@ Savitzky-Golay window has a fixed physical span.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +30,18 @@ class SmoothingConfig:
                 "sg_window must be odd and greater than sg_order + 1")
         if self.sg_order < 1:
             raise ConfigError("sg_order must be at least 1")
+
+    @property
+    def min_samples(self) -> int:
+        """Grid samples a curve needs: twice the filter window."""
+        return 2 * self.sg_window
+
+    @property
+    def reach(self) -> int:
+        """Grid samples past either end of a run that the run's dV/dQ
+        reads: the smoothing half-window, and one more for the central
+        difference."""
+        return self.sg_window // 2 + 1
 
 
 @dataclass
@@ -80,8 +92,9 @@ def resample_uniform_q(trace, dq: float):
 
 
 @lru_cache(maxsize=64)
-def _savgol_weights(window: int, order: int) -> np.ndarray:
-    """Smoothing weights of an odd window in correlation order, read-only.
+def _savgol_weights(window: int, order: int):
+    """Smoothing weights of an odd window in correlation order, read-only,
+    and whether they mirror within eps.
 
     Solved by lstsq on the Vandermonde matrix of x = half ... -half with
     rcond eps * window, as the reference savgol_coeffs(use="conv") does,
@@ -95,31 +108,74 @@ def _savgol_weights(window: int, order: int) -> np.ndarray:
     w = np.linalg.lstsq(a, e0, rcond=np.finfo(np.float64).eps * window)[0]
     w = w[::-1].copy()
     w.flags.writeable = False
-    return w
+    symmetric = bool(np.all(np.abs(w[:half] - w[:half:-1])
+                            <= np.finfo(np.float64).eps))
+    return w, symmetric
 
 
-def _polyfit(t: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    """np.polyfit(t, y, order) with the powers of t taken by `**`.
+@lru_cache(maxsize=64)
+def _edge_basis(window: int, order: int):
+    """The sample positions 0..window - 1, and the column-scaled powers
+    t**order .. t**0 and their scales that np.polyfit solves with, read-only.
 
-    np.polyfit builds them by repeated multiplication, which rounds
-    differently once t**order passes 2**53; the reference edge fit uses
-    `**`, and this keeps its bits.
+    The powers are taken by `**`: np.polyfit builds them by repeated
+    multiplication, which rounds differently once t**order passes 2**53;
+    the reference edge fit uses `**`, and this keeps its bits.
     """
+    t = np.arange(window, dtype=np.float64)
     lhs = t[:, None] ** np.arange(order, -1, -1, dtype=np.float64)
     scale = np.sqrt(np.sum(lhs * lhs, axis=0))
     lhs /= scale
+    for a in (t, lhs, scale):
+        a.flags.writeable = False
+    return t, lhs, scale
+
+
+def _edge_fit(y, order: int, at: slice) -> np.ndarray:
+    """The degree-`order` least-squares polynomial through the samples y,
+    as np.polyfit fits it, at the positions `at` of y."""
+    t, lhs, scale = _edge_basis(len(y), order)
     coef = np.linalg.lstsq(lhs, y, rcond=len(t) * np.finfo(np.float64).eps)[0]
-    return coef / scale
+    return np.polyval(coef / scale, t[at])
 
 
-def savgol_smooth(y, window: int, order: int) -> np.ndarray:
-    """Savitzky-Golay smoothing of a 1-d signal with polynomial edge fits.
+def _centre_sums(y, w, symmetric):
+    """The weighted sum of each full window of y, m = len(y) - len(w) + 1
+    of them, in the reference filter's order: the centre sample, then
+    sample pairs, outermost first, when the weights mirror; else the last
+    sample, then the others in order."""
+    window = len(w)
+    h = window // 2
+    m = len(y) - window + 1
+    # row k is y[k:k + m]: the k-th sample of every window
+    rows = np.lib.stride_tricks.as_strided(y, (window, m), y.strides * 2)
+    if symmetric:
+        terms = np.empty((h + 1, m))
+        np.multiply(rows[h], w[h], out=terms[0])
+        np.add(rows[:h], rows[:h:-1], out=terms[1:])
+        terms[1:] *= w[:h, None]
+    else:
+        terms = np.empty((window, m))
+        np.multiply(rows[-1], w[-1], out=terms[0])
+        np.multiply(rows[:-1], w[:-1, None], out=terms[1:])
+    # np.add.reduce folds the rows in order, one after another, except over
+    # a single column, which it sums pairwise
+    if m == 1:
+        return reduce(np.add, terms)
+    return np.add.reduce(terms, axis=0)
+
+
+def savgol_smooth(y, window: int, order: int, lo: int = 0,
+                  hi: int = None) -> np.ndarray:
+    """Savitzky-Golay smoothing of a 1-d signal with polynomial edge fits;
+    its samples lo..hi - 1 alone when a range is given.
 
     Each interior sample becomes the centre value of the degree-`order`
     least-squares polynomial over the `window` samples around it; the
     first and last window // 2 samples take the polynomials fitted to the
-    first and last full windows. The result equals the reference
-    savgol_filter(y, window, order, mode="interp") bit for bit
+    first and last full windows, which are fitted only when the range
+    reaches them. The result equals the reference
+    savgol_filter(y, window, order, mode="interp")[lo:hi] bit for bit
     (tests/test_signal.py), so the interior sums in that filter's order:
     sample pairs, outermost first, when the weights mirror within eps, and
     one running sum otherwise, since rounding leaves the weights of many
@@ -127,42 +183,68 @@ def savgol_smooth(y, window: int, order: int) -> np.ndarray:
     """
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
+    hi = n if hi is None else hi
     if window % 2 != 1 or not order < window <= n:
         raise ConfigError(f"need an odd window in ({order}, {n}], "
                           f"got {window}")
-    w = _savgol_weights(window, order)
+    if not 0 <= lo < hi <= n:
+        raise ConfigError(f"need 0 <= lo < hi <= {n}, got {lo} and {hi}")
+    w, symmetric = _savgol_weights(window, order)
     h = window // 2
-    out = np.empty(n)
-    mid = out[h:n - h]
-    if np.all(np.abs(w[:h] - w[:h:-1]) <= np.finfo(np.float64).eps):
-        np.multiply(y[h:n - h], w[h], out=mid)
-        for j in range(h, 0, -1):
-            mid += (y[h - j:n - h - j] + y[h + j:n - h + j]) * w[h - j]
-    else:
-        np.multiply(y[2 * h:], w[2 * h], out=mid)
-        for k in range(2 * h):
-            mid += y[k:n - 2 * h + k] * w[k]
-    t = np.arange(window, dtype=np.float64)
-    out[:h] = np.polyval(_polyfit(t, y[:window], order), t[:h])
-    out[n - h:] = np.polyval(_polyfit(t, y[n - window:], order),
-                             t[window - h:])
+    out = np.empty(hi - lo)
+    a, b = max(lo, h), min(hi, n - h)       # the range's interior samples
+    if a < b:
+        out[a - lo:b - lo] = _centre_sums(y[a - h:b + h], w, symmetric)
+    if lo < h:
+        head = min(h, hi)
+        out[:head - lo] = _edge_fit(y[:window], order, slice(lo, head))
+    if hi > n - h:
+        tail, off = max(lo, n - h), n - window      # y[off:], the last window
+        out[tail - lo:] = _edge_fit(y[off:], order,
+                                    slice(tail - off, hi - off))
     return out
 
 
-def dvdq_curve(trace, config: SmoothingConfig = None) -> DvDqCurve:
+def _window_run(v, v_lo: float, v_hi: float) -> slice:
+    """The samples of the longest run of consecutive v_lo <= v <= v_hi,
+    the first of equally long runs."""
+    if not (v_lo < v_hi):
+        raise EmptyWindowError("degenerate voltage window (v_lo >= v_hi)")
+    idx = np.flatnonzero((v >= v_lo) & (v <= v_hi))
+    if idx.size == 0:
+        raise EmptyWindowError(
+            f"no samples with voltage in [{v_lo:g}, {v_hi:g}]")
+    # a run ends at idx[k] wherever idx[k + 1] skips a sample
+    ends = np.flatnonzero(np.diff(idx) > 1)
+    starts = idx[np.concatenate(([0], ends + 1))]
+    stops = idx[np.append(ends, idx.size - 1)] + 1
+    k = int(np.argmax(stops - starts))
+    return slice(int(starts[k]), int(stops[k]))
+
+
+def dvdq_curve(trace, config: SmoothingConfig = None,
+               window: tuple = None) -> DvDqCurve:
     """Smooth the resampled pair voltage and differentiate to -dV/dQ.
 
-    Central differences inside, one-sided at the ends.
+    Central differences inside, one-sided at the ends. Given a voltage
+    window (v_lo, v_hi), the curve holds only its run (downselect_window's
+    rule) and the config.reach samples on either side that the run's
+    dV/dQ reads, so the run's dV/dQ is the whole curve's, bit for bit.
     """
     config = config if config is not None else SmoothingConfig()
     q, v = resample_uniform_q(trace, config.dq_ah)
-    if len(q) < 2 * config.sg_window:
+    if len(q) < config.min_samples:
         raise SpanError(
             f"{len(q)} samples; need at least twice the filter window "
-            f"({2 * config.sg_window})")
-    v_smooth = savgol_smooth(v, config.sg_window, config.sg_order)
+            f"({config.min_samples})")
+    lo, hi = 0, len(q)
+    if window is not None:
+        run = _window_run(v, *window)
+        lo = max(0, run.start - config.reach)
+        hi = min(len(q), run.stop + config.reach)
+    v_smooth = savgol_smooth(v, config.sg_window, config.sg_order, lo, hi)
     dvdq = -np.gradient(v_smooth, config.dq_ah)
-    return DvDqCurve(q=q, v=v, dvdq=dvdq, dq=config.dq_ah)
+    return DvDqCurve(q=q[lo:hi], v=v[lo:hi], dvdq=dvdq, dq=config.dq_ah)
 
 
 def downselect_window(curve: DvDqCurve, v_lo: float = VOLTAGE_WINDOW[0],
@@ -172,16 +254,7 @@ def downselect_window(curve: DvDqCurve, v_lo: float = VOLTAGE_WINDOW[0],
     On a monotone discharge curve the in-window samples form one run; if
     smoothing noise fragments the mask, the longest run wins.
     """
-    if not (v_lo < v_hi):
-        raise EmptyWindowError("degenerate voltage window (v_lo >= v_hi)")
-    mask = (curve.v >= v_lo) & (curve.v <= v_hi)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise EmptyWindowError(
-            f"no samples with voltage in [{v_lo:g}, {v_hi:g}]")
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-    run = max(runs, key=len)
-    sl = slice(run[0], run[-1] + 1)
+    sl = _window_run(curve.v, v_lo, v_hi)
     return DvDqCurve(q=curve.q[sl].copy(), v=curve.v[sl].copy(),
                      dvdq=curve.dvdq[sl].copy(), dq=curve.dq)
 

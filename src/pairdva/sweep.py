@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, IdentifyError, PairDvaError, SweepError
 from .features import AnalysisConfig, PeakFeatures, extract_features
-from .pairsim import (PairSpec, SimConfig, _require_positive, make_pair,
-                      simulate_cc_discharge)
+from .pairsim import (PairSpec, SimConfig, _discharge, _require_positive,
+                      make_pair)
 from .signal import SmoothingConfig
 
 
@@ -151,10 +151,17 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
     sim_config = sim_config if sim_config is not None else SimConfig()
     analysis = analysis if analysis is not None else AnalysisConfig()
 
+    # the features read a discharge only up to smoothing.reach grid samples
+    # past the window's low edge, and need smoothing.min_samples of them in
+    # all, so each cell's run stops there
+    smoothing = analysis.smoothing
+    past = (analysis.v_lo, smoothing.reach * smoothing.dq_ah,
+            smoothing.min_samples * smoothing.dq_ah)
+
     def one(a, b):
         try:
-            trace = simulate_cc_discharge(
-                make_pair(a, b, c_total, r_parallel), sim_config)
+            trace = _discharge(make_pair(a, b, c_total, r_parallel),
+                               sim_config, past)
             feats = extract_features(trace, analysis)
             return SweepCell(alpha=a, beta=b, features=feats, status="ok")
         except PairDvaError as err:

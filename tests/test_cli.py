@@ -236,7 +236,7 @@ def test_bad_grid_rejected_before_the_sweep(monkeypatch, capsys, tmp_path,
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the settings were checked")
 
-    monkeypatch.setattr(pairdva.sweep, "simulate_cc_discharge", no_cell)
+    monkeypatch.setattr(pairdva.sweep, "_discharge", no_cell)
     out = tmp_path / "out"
     assert cli.main(["sweep", *flags, "--outdir", str(out)]) == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -419,6 +419,22 @@ def test_repeated_timestamp_names_sample(workdir):
     assert doc["message"].endswith(
         "not strictly increasing: 0.011111111111111112 at sample 2 after "
         "0.011111111111111112")
+
+
+def test_charge_segment_in_a_discharge_rejected(workdir, sim_dir):
+    # a three-column trace sampled every 5 s with a 10-minute 20 A charge
+    # pulse from t = 3000 s: the charge column cannot be rebuilt from |i|
+    lines = (sim_dir / "trace.csv").read_text().splitlines()
+    rows = ["t_s,i_total_A,vt_V"]
+    for ln in lines[1::5]:
+        t, i, v = (ln.split(",")[k] for k in (0, 1, 9))
+        rows.append(f"{t},{20 if 3000 <= float(t) < 3600 else i},{v}")
+    bad = workdir / "charge_pulse.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    proc = run_cli(["features", str(bad)], cwd=workdir)
+    assert_one_read_error(proc, f"{bad} line 602: column i_total_A holds "
+                                f"20 A, of the other sign from the -40 A "
+                                f"on line 2")
 
 
 @pytest.mark.parametrize("name,row,where", [

@@ -1,16 +1,20 @@
 """Surrogate fitting and the step-signal skewness statistic."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from pairdva import (ConfigError, FeatureError, FitWarning, SpanError,
+from pairdva import (AnalysisConfig, ConfigError, DvDqCurve, FeatureError,
+                     FitWarning, PeakFeatures, SimTrace, SpanError,
                      SurrogateFit, VOLTAGE_WINDOW, downselect_window,
                      dvdq_curve, extract_features, fit_positive_surrogate,
-                     make_pair, peak_height, simulate_cc_discharge,
-                     skewness_pipeline, weighted_skewness)
+                     make_pair, peak_height, resample_uniform_q,
+                     simulate_cc_discharge, skewness_pipeline,
+                     weighted_skewness)
 from pairdva import features, fileio
+from pairdva.signal import savgol_smooth
 
 
 def surrogate(q, a, b, c, d, e, f):
@@ -175,14 +179,25 @@ def test_grid_refinement_invariance():
 
 # --- the pipeline ---------------------------------------------------------------
 
-def test_symmetric_step_density_is_unskewed():
+def test_symmetric_step_density_is_unskewed(monkeypatch):
     q = np.arange(40.0, 60.0 + 1e-9, 0.05)
     v = surrogate(q, **TRUE)
     fit = fit_positive_surrogate(q, v)
+    moments = []
+    weighted_moments = features._weighted_moments
+
+    def spy(x, w):
+        moments.append((w, weighted_moments(x, w)))
+        return moments[-1][1]
+
+    monkeypatch.setattr(features, "_weighted_moments", spy)
     res = skewness_pipeline(q, v, fit)
     assert abs(res.skewness) < 0.01
-    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert res.mu == pytest.approx(TRUE["e"], abs=0.05)
+    # the renormalized masses the moments are taken over, and their mean
+    (w, (mu, _, skew)), = moments
+    assert skew == res.skewness
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert mu == pytest.approx(TRUE["e"], abs=0.05)
 
 
 def test_pipeline_scale_and_shift_equivariance():
@@ -337,3 +352,82 @@ def test_fit_equals_reference_loop(balanced_trace, tmp_path):
             assert getattr(got, name) == getattr(want, name), name
     # some tries were rejected, so the in-place damping was rewritten
     assert retries > 0
+
+
+# --- the window's curve against the whole curve -------------------------
+
+def _whole_curve_window(trace, analysis):
+    """The window's sub-curve of the whole resampled curve, smoothed and
+    differentiated end to end, as extract_features took it before the
+    curve was cut to the window's run."""
+    sm = analysis.smoothing
+    q, v = resample_uniform_q(trace, sm.dq_ah)
+    dvdq = -np.gradient(savgol_smooth(v, sm.sg_window, sm.sg_order),
+                        sm.dq_ah)
+    return downselect_window(DvDqCurve(q=q, v=v, dvdq=dvdq, dq=sm.dq_ah),
+                             analysis.v_lo, analysis.v_hi)
+
+
+def _whole_curve_features(trace, analysis):
+    """extract_features on _whole_curve_window's sub-curve."""
+    win = _whole_curve_window(trace, analysis)
+    peak = peak_height(win)
+    fit = fit_positive_surrogate(win.q, win.v,
+                                 init_hints={"e": peak.q_at_peak},
+                                 fit_tol=analysis.fit_tol)
+    skew = skewness_pipeline(win.q, win.v, fit, analysis.smoothing,
+                             density_floor=analysis.density_floor)
+    return PeakFeatures(height=peak.height, q_at_peak=peak.q_at_peak,
+                        v_at_peak=peak.v_at_peak, skewness=skew.skewness,
+                        fit=fit, window=(analysis.v_lo, analysis.v_hi))
+
+
+def _step_trace(q0, q1):
+    """3.8 - 0.004 (q - 50) - 0.03 tanh((q - 50) / 2) V every 0.01 Ah over
+    [q0, q1]: inside (3.7, 3.9) V for q in about (32.5, 67.5) Ah."""
+    q = np.linspace(q0, q1, int(round((q1 - q0) / 0.01)) + 1)
+    v = 3.8 - 0.004 * (q - 50.0) - 0.03 * np.tanh((q - 50.0) / 2.0)
+    zeros = np.zeros_like(q)
+    return SimTrace(t=np.arange(len(q), dtype=float), i_total=zeros - 1.0,
+                    i1=zeros, i2=zeros, z1=zeros + 0.5, z2=zeros + 0.5,
+                    q_pair=q, q1=q / 2.0, q2=q / 2.0, v_t=v)
+
+
+# the curve holds 10, 1 or 0 samples before the window's run, or 1, 10 or
+# 0 after it: fewer than the smoothing half-window (12 samples), so the
+# cut curve is clipped there
+@pytest.mark.parametrize("q0, q1", [(32.0, 80.0), (32.45, 80.0),
+                                    (33.0, 80.0), (20.0, 67.6),
+                                    (20.0, 68.0), (20.0, 67.0),
+                                    (32.45, 67.6)])
+def test_window_curve_near_the_ends_gives_whole_curve_features(q0, q1):
+    trace = _step_trace(q0, q1)
+    analysis = AnalysisConfig()
+    sm = analysis.smoothing
+    q, _ = resample_uniform_q(trace, sm.dq_ah)
+    curve = dvdq_curve(trace, sm, (analysis.v_lo, analysis.v_hi))
+    win = downselect_window(curve, analysis.v_lo, analysis.v_hi)
+    # the run reaches within the half-window of an end of the curve
+    assert (win.q[0] - q[0] < sm.reach * sm.dq_ah
+            or q[-1] - win.q[-1] < sm.reach * sm.dq_ah)
+    whole = _whole_curve_window(trace, analysis)
+    for name in ("q", "v", "dvdq"):
+        assert np.array_equal(getattr(win, name), getattr(whole, name))
+    assert extract_features(trace) == _whole_curve_features(trace, analysis)
+
+
+def test_window_curve_of_noisy_traces_gives_whole_curve_features(
+        balanced_trace):
+    # 1 mV of noise breaks the window's voltage mask into several runs
+    # near its edges, and the longest is picked from them
+    analysis = AnalysisConfig()
+    for k in range(6):
+        noise = np.random.default_rng([5, k]).normal(
+            0.0, 1e-3, len(balanced_trace))
+        trace = dataclasses.replace(balanced_trace,
+                                    v_t=balanced_trace.v_t + noise)
+        _, v = resample_uniform_q(trace, analysis.smoothing.dq_ah)
+        inside = np.flatnonzero((v >= analysis.v_lo) & (v <= analysis.v_hi))
+        assert (np.diff(inside) > 1).any()
+        assert extract_features(trace) == _whole_curve_features(trace,
+                                                                analysis)

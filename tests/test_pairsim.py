@@ -1,5 +1,6 @@
 """Pair construction, current split, and the CC discharge integrator."""
 
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -260,7 +261,7 @@ def test_kernel_sample_count_matches_arrays_at_n_max():
 
 
 def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
-                   dt, n_max, v_cutoff, soc_floor, t_max):
+                   dt, n_max, v_cutoff, soc_floor, t_max, past=None):
     """The step-by-step RK4 loop: the reference for the windowed Newton
     solve in kernels.pair_rk4."""
 
@@ -290,6 +291,10 @@ def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     b = float(z2_0)
     reason = 0
     k = 0
+    # the sample that ends a discharge past the window (reason 5), set at
+    # the first sample below v_lo
+    stop_at = n_max
+    watch = past is not None and i_total < 0.0
     while k < n_max:
         c1, c2, v = pair_state(a, b, r1, r2, i_total)
         z1[k] = a
@@ -297,6 +302,10 @@ def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         i1[k] = c1
         i2[k] = c2
         vt[k] = v
+        if watch and v < past[0]:
+            watch = False
+            stop_at = max(k + math.ceil(past[1] / (dt * -i_total)),
+                          math.ceil(past[2] / (dt * -i_total)))
         if v <= v_cutoff:
             reason = 1
             break
@@ -320,6 +329,10 @@ def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         k += 1
         if not (-1e-9 <= a <= 1.0 + 1e-9) or not (-1e-9 <= b <= 1.0 + 1e-9):
             reason = 4
+            k -= 1
+            break
+        if k - 1 == stop_at:
+            reason = 5
             k -= 1
             break
     n = k + 1
@@ -445,6 +458,42 @@ def test_tied_stops_take_the_loops_order(first, tie, reasons):
     assert want[5:] == (out[5], reasons[0])
     got = kernels.pair_rk4(**args)
     assert got[5:] == want[5:]
+    assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
+
+
+@pytest.mark.parametrize("past, cutoff_tie", [
+    ((3.7, 2340.0, 0.0), False), ((3.7, 2340.0, 0.0), True),
+    ((3.7, 0.0, 0.0), False), ((3.7, 2340.0, 300_000.0), False)],
+    ids=["past_v_lo", "tied_with_v_cutoff", "at_v_lo", "past_q_min"])
+def test_past_window_stop_cuts_the_full_run(past, cutoff_tie):
+    # the run ends ceil(q_past / 40 A s) samples past the first one below
+    # v_lo, and no earlier than ceil(q_min / 40 A s); the samples are the
+    # full run's own, as the loop gives them, and v_cutoff on the same
+    # sample comes first
+    args = _tie_args()
+    full = kernels.pair_rk4(**args)
+    v_lo, q_past, q_min = past
+    below = int(np.argmax(full[4] < v_lo))
+    last = max(below + math.ceil(q_past / 40.0), math.ceil(q_min / 40.0))
+    reason = 5
+    if cutoff_tie:
+        args["v_cutoff"] = full[4][last]
+        reason = 1
+    got = kernels.pair_rk4(**args, past=past)
+    want = _pair_rk4_loop(**args, past=past)
+    assert got[5:] == want[5:] == (last + 1, reason)
+    assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
+    assert all(np.array_equal(a, b[:last + 1])
+               for a, b in zip(got[:5], full[:5]))
+
+
+def test_charging_run_ignores_the_past_window_stop():
+    # every sample of this charge lies below 4.5 V
+    args = (0.5, 0.5, 3600.0 * 60.0, 3600.0 * 60.0, 0.002, 0.002, 40.0,
+            60.0, 1000, 3.0, 0.02, 1.0e9)
+    want = kernels.pair_rk4(*args)
+    got = kernels.pair_rk4(*args, past=(4.5, 0.0, 0.0))
+    assert got[5:] == want[5:] and want[6] != 5
     assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
 
 

@@ -98,6 +98,39 @@ def test_smoother_agrees_with_reference_over_configs(config, extra, seed):
     assert err <= 1e-9 * np.abs(y).max()
 
 
+@settings(derandomize=True, deadline=None, database=None)
+@given(config=window_and_order(), extra=st.integers(0, 60),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_smoother_range_equals_whole_signal_slice(config, extra, seed, data):
+    window, order = config
+    n = window + extra
+    y = random_walk(n, seed)
+    lo = data.draw(st.integers(0, n - 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, n), label="hi")
+    assert np.array_equal(savgol_smooth(y, window, order, lo, hi),
+                          savgol_smooth(y, window, order)[lo:hi])
+
+
+@pytest.mark.parametrize("window, order", [(25, 3), (51, 3), (51, 5)])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_smoother_with_one_or_two_interior_samples(window, order, extra):
+    # with one interior sample (n == window) the interior sum is a single
+    # column, which np.add.reduce would sum pairwise: for a few signals in
+    # a hundred that rounds differently from the reference
+    for seed in range(200):
+        y = random_walk(window + extra, seed)
+        assert np.array_equal(
+            savgol_smooth(y, window, order),
+            savgol_filter(y, window, order, mode="interp")), seed
+
+
+def test_smoother_rejects_bad_range():
+    y = random_walk(30)
+    for lo, hi in [(-1, 10), (5, 5), (10, 5), (0, 31)]:
+        with pytest.raises(ConfigError):
+            savgol_smooth(y, 25, 3, lo, hi)
+
+
 def test_smoother_rejects_bad_window():
     y = random_walk(30)
     for window, order in [(24, 3), (3, 3), (31, 3)]:

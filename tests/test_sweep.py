@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairdva import (ConfigError, FeatureError, GridConfig, IdentifyError,
-                     SimConfig, extract_features, fileio, identify_product,
-                     make_pair, product_curve, run_sweep,
+                     PairDvaError, SimConfig, SmoothingConfig,
+                     extract_features, fileio, identify_product, make_pair,
+                     product_curve, resample_uniform_q, run_sweep,
                      simulate_cc_discharge, sweep)
 
 
@@ -32,7 +34,7 @@ def test_run_sweep_checks_the_nameplate_first(monkeypatch, kw):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the nameplate was checked")
 
-    monkeypatch.setattr(sweep, "simulate_cc_discharge", no_cell)
+    monkeypatch.setattr(sweep, "_discharge", no_cell)
     with pytest.raises(ConfigError, match=f"^{next(iter(kw))} must"):
         run_sweep([1.0], [1.0], **kw)
 
@@ -52,6 +54,54 @@ def test_sweep_cells_are_row_major_and_match_single_runs():
             simulate_cc_discharge(make_pair(cell.alpha, cell.beta)))
         assert cell.features.height == want.height
         assert cell.features.skewness == want.skewness
+
+
+def _outcome(run):
+    """What run() returns, or its error's class name, stage and message."""
+    try:
+        return run()
+    except PairDvaError as err:
+        return type(err).__name__, err.stage, str(err)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(alpha=st.floats(0.5, 1.0), beta=st.floats(1.0, 2.0),
+       c_rate=st.floats(0.2, 1.0))
+def test_stopped_cell_runs_give_the_full_runs_features(alpha, beta, c_rate):
+    # a sweep cell's discharge stops just past the voltage window; its
+    # features, or its error, are those of the whole discharge
+    cfg = SimConfig(c_rate=c_rate)
+    runs = []
+    discharge = sweep._discharge
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(sweep, "_discharge",
+                        lambda *args: runs.append(discharge(*args))
+                        or runs[-1])
+        cell, = run_sweep([alpha], [beta], sim_config=cfg).cells
+    full = simulate_cc_discharge(make_pair(alpha, beta), cfg)
+    stopped, = runs
+    assert stopped.reason == "past_window" and len(stopped) < len(full)
+    # the stopped run's charge grid holds the smoothing reach past the
+    # window's last sample
+    sm = SmoothingConfig()
+    _, v = resample_uniform_q(stopped, sm.dq_ah)
+    inside = np.flatnonzero((v >= 3.7) & (v <= 3.9))
+    assert len(v) >= inside[-1] + 1 + sm.reach
+    got = cell.features if cell.ok else (cell.status, cell.stage,
+                                         cell.message)
+    assert got == _outcome(lambda: extract_features(full))
+
+
+@pytest.mark.parametrize("z0", [0.504, 0.514])
+def test_run_stopped_near_its_start_fails_as_the_full_run(z0):
+    # the discharge starts 10-20 mV above the window's low edge; its run is
+    # held until the charge grid has the samples the curve needs, so the
+    # cell fails as the whole discharge does, not for a short trace
+    cfg = SimConfig(z0=z0)
+    cell, = run_sweep([1.0], [1.0], sim_config=cfg).cells
+    full = simulate_cc_discharge(make_pair(1.0, 1.0), cfg)
+    assert (cell.status, cell.stage, cell.message) == _outcome(
+        lambda: extract_features(full))
 
 
 def test_sweep_records_failures_instead_of_raising():
