@@ -127,10 +127,10 @@ def ocv_and_slope(z):
 # doubles as stage k1. Termination is checked on the recorded sample in
 # the order: cutoff voltage, SOC floor, time limit (reasons 1/2/3).
 # Reason 4 flags an SOC excursion beyond [-1e-9, 1 + 1e-9] after a step
-# and is turned into an error by the caller. Given past = (v_lo, q_past,
-# q_min), a discharge also ends (reason 5, last in the order) at the first
-# sample whose pair charge passes that of the first sample with v_t < v_lo
-# by q_past and the first sample's by q_min (amp-seconds); a caller that
+# and is turned into an error by the caller. Given past = (v_lo,
+# steps_past, steps_min), a discharge also ends (reason 5, last in the
+# order) at the sample steps_past steps after the first sample with
+# v_t < v_lo, or at sample steps_min if that comes later; a caller that
 # reads the trace only that far past v_lo stops it there.
 #
 # The recursion x_{k+1} = Phi(x_k) is solved by Newton's method on a window
@@ -274,10 +274,7 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     stop_at = n_max
     watch = past is not None and i_total < 0.0
     if watch:
-        v_lo, q_past, q_min = past
-        step_charge = dt * -i_total
-        steps_past = math.ceil(q_past / step_charge)
-        steps_min = math.ceil(q_min / step_charge)
+        v_lo, steps_past, steps_min = past
 
     # copies of the recorded samples, joined at the end: the memory follows
     # the run's length, not n_max, and a window's other states are freed

@@ -182,9 +182,9 @@ def _discharge(params: PairSpec, config: SimConfig = None,
     i_total = _discharge_current(config, c1.capacity_ah + c2.capacity_ah)
     if past is not None:
         v_lo, past_ah, min_ah = past
-        step_as = config.dt * abs(i_total)
-        past = (v_lo, past_ah * SECONDS_PER_HOUR + step_as,
-                min_ah * SECONDS_PER_HOUR + step_as)
+        step_ah = config.dt * abs(i_total) / SECONDS_PER_HOUR
+        past = (v_lo, math.ceil(past_ah / step_ah) + 1,
+                math.ceil(min_ah / step_ah) + 1)
     z1, z2, i1, i2, vt, n, reason = kernels.pair_rk4(
         config.z0, config.z0,
         c1.capacity_ah * SECONDS_PER_HOUR, c2.capacity_ah * SECONDS_PER_HOUR,

@@ -6,7 +6,7 @@ Savitzky-Golay window has a fixed physical span.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +35,6 @@ class SmoothingConfig:
     def min_samples(self) -> int:
         """Grid samples a curve needs: twice the filter window."""
         return 2 * self.sg_window
-
-    @property
-    def reach(self) -> int:
-        """Grid samples past either end of a run that the run's dV/dQ
-        reads: the smoothing half-window, and one more for the central
-        difference."""
-        return self.sg_window // 2 + 1
 
 
 @dataclass
@@ -139,32 +132,6 @@ def _edge_fit(y, order: int, at: slice) -> np.ndarray:
     return np.polyval(coef / scale, t[at])
 
 
-def _centre_sums(y, w, symmetric):
-    """The weighted sum of each full window of y, m = len(y) - len(w) + 1
-    of them, in the reference filter's order: the centre sample, then
-    sample pairs, outermost first, when the weights mirror; else the last
-    sample, then the others in order."""
-    window = len(w)
-    h = window // 2
-    m = len(y) - window + 1
-    # row k is y[k:k + m]: the k-th sample of every window
-    rows = np.lib.stride_tricks.as_strided(y, (window, m), y.strides * 2)
-    if symmetric:
-        terms = np.empty((h + 1, m))
-        np.multiply(rows[h], w[h], out=terms[0])
-        np.add(rows[:h], rows[:h:-1], out=terms[1:])
-        terms[1:] *= w[:h, None]
-    else:
-        terms = np.empty((window, m))
-        np.multiply(rows[-1], w[-1], out=terms[0])
-        np.multiply(rows[:-1], w[:-1, None], out=terms[1:])
-    # np.add.reduce folds the rows in order, one after another, except over
-    # a single column, which it sums pairwise
-    if m == 1:
-        return reduce(np.add, terms)
-    return np.add.reduce(terms, axis=0)
-
-
 def savgol_smooth(y, window: int, order: int, lo: int = 0,
                   hi: int = None) -> np.ndarray:
     """Savitzky-Golay smoothing of a 1-d signal with polynomial edge fits;
@@ -194,7 +161,15 @@ def savgol_smooth(y, window: int, order: int, lo: int = 0,
     out = np.empty(hi - lo)
     a, b = max(lo, h), min(hi, n - h)       # the range's interior samples
     if a < b:
-        out[a - lo:b - lo] = _centre_sums(y[a - h:b + h], w, symmetric)
+        mid = out[a - lo:b - lo]
+        if symmetric:
+            np.multiply(y[a:b], w[h], out=mid)
+            for j in range(h, 0, -1):
+                mid += (y[a - j:b - j] + y[a + j:b + j]) * w[h - j]
+        else:
+            np.multiply(y[a + h:b + h], w[2 * h], out=mid)
+            for k in range(2 * h):
+                mid += y[a - h + k:b - h + k] * w[k]
     if lo < h:
         head = min(h, hi)
         out[:head - lo] = _edge_fit(y[:window], order, slice(lo, head))
@@ -228,8 +203,9 @@ def dvdq_curve(trace, config: SmoothingConfig = None,
 
     Central differences inside, one-sided at the ends. Given a voltage
     window (v_lo, v_hi), the curve holds only its run (downselect_window's
-    rule) and the config.reach samples on either side that the run's
-    dV/dQ reads, so the run's dV/dQ is the whole curve's, bit for bit.
+    rule) and one sample on either side, so the run's ends take central
+    differences too and the run's dV/dQ is the whole curve's, bit for bit:
+    the smoother still reads the raw samples around the range.
     """
     config = config if config is not None else SmoothingConfig()
     q, v = resample_uniform_q(trace, config.dq_ah)
@@ -240,8 +216,7 @@ def dvdq_curve(trace, config: SmoothingConfig = None,
     lo, hi = 0, len(q)
     if window is not None:
         run = _window_run(v, *window)
-        lo = max(0, run.start - config.reach)
-        hi = min(len(q), run.stop + config.reach)
+        lo, hi = max(0, run.start - 1), min(len(q), run.stop + 1)
     v_smooth = savgol_smooth(v, config.sg_window, config.sg_order, lo, hi)
     dvdq = -np.gradient(v_smooth, config.dq_ah)
     return DvDqCurve(q=q[lo:hi], v=v[lo:hi], dvdq=dvdq, dq=config.dq_ah)

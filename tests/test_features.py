@@ -251,11 +251,30 @@ def _reference_fit(q, v, hints):
     """The damped Gauss-Newton loop of fit_positive_surrogate with a fresh
     Jacobian and augmented system per try, as it was first written: the
     reference for the fit, which writes them in place. Returns the fit and
-    the number of damping retries."""
-    theta = features._default_init(q, v)
+    the number of damping retries. Its start values, residual and
+    optimality measure are also those first written, not the fit's."""
+    A = np.column_stack((np.ones_like(q), q, q * q))
+    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
+    slope = np.gradient(v, q)
+    e0 = float(q[int(np.argmax(-slope))])
+    theta = np.array([coef[0], coef[1], coef[2], 0.01, e0,
+                      0.02 * float(q[-1] - q[0])])
     for i, name in enumerate("abcdef"):
         if name in hints:
             theta[i] = float(hints[name])
+
+    def residual(theta):
+        a, b, c, d, e, f = theta
+        return a + b * q + c * q * q - d * np.tanh((q - e) / f) - v
+
+    def scaled_gradient(J, r):
+        rnorm = float(np.linalg.norm(r))
+        if rnorm / np.sqrt(len(r)) < 1e-10 * v_scale:
+            return 0.0
+        jnorm = float(np.linalg.norm(J))
+        if jnorm == 0.0:
+            return 0.0
+        return float(np.max(np.abs(J.T @ r)) / (jnorm * rnorm))
 
     def jacobian(theta):
         _, _, _, d, e, f = theta
@@ -271,13 +290,13 @@ def _reference_fit(q, v, hints):
         return J
 
     v_scale = max(1.0, float(np.max(np.abs(v))))
-    r = features._residual(theta, q, v)
+    r = residual(theta)
     cost = float(r @ r)
     lam = 1e-3
     n_iter = retries = 0
     for n_iter in range(1, features.FIT_MAX_ITER + 1):
         J = jacobian(theta)
-        if features._scaled_gradient(J, r, v_scale) < features.FIT_GTOL:
+        if scaled_gradient(J, r) < features.FIT_GTOL:
             break
         col = np.sqrt((J * J).sum(axis=0))
         col[col < 1e-30] = 1.0
@@ -287,7 +306,7 @@ def _reference_fit(q, v, hints):
             rhs = np.concatenate((-r, np.zeros(6)))
             step, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             trial = theta + step
-            r_t = features._residual(trial, q, v)
+            r_t = residual(trial)
             cost_t = float(r_t @ r_t)
             if np.isfinite(cost_t) and cost_t < cost:
                 theta, r, cost = trial, r_t, cost_t
@@ -303,7 +322,7 @@ def _reference_fit(q, v, hints):
     if theta[5] < 0.0:
         theta[3] = -theta[3]
         theta[5] = -theta[5]
-    scaled = features._scaled_gradient(jacobian(theta), r, v_scale)
+    scaled = scaled_gradient(jacobian(theta), r)
     rms = float(np.sqrt(cost / len(q)))
     fit = SurrogateFit(*(float(x) for x in theta), residual_rms=rms,
                        converged=bool(scaled < 1e-8
@@ -408,8 +427,8 @@ def test_window_curve_near_the_ends_gives_whole_curve_features(q0, q1):
     curve = dvdq_curve(trace, sm, (analysis.v_lo, analysis.v_hi))
     win = downselect_window(curve, analysis.v_lo, analysis.v_hi)
     # the run reaches within the half-window of an end of the curve
-    assert (win.q[0] - q[0] < sm.reach * sm.dq_ah
-            or q[-1] - win.q[-1] < sm.reach * sm.dq_ah)
+    half = sm.sg_window // 2 * sm.dq_ah
+    assert win.q[0] - q[0] < half or q[-1] - win.q[-1] < half
     whole = _whole_curve_window(trace, analysis)
     for name in ("q", "v", "dvdq"):
         assert np.array_equal(getattr(win, name), getattr(whole, name))

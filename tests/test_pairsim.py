@@ -1,6 +1,5 @@
 """Pair construction, current split, and the CC discharge integrator."""
 
-import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -304,8 +303,7 @@ def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         vt[k] = v
         if watch and v < past[0]:
             watch = False
-            stop_at = max(k + math.ceil(past[1] / (dt * -i_total)),
-                          math.ceil(past[2] / (dt * -i_total)))
+            stop_at = max(k + past[1], past[2])
         if v <= v_cutoff:
             reason = 1
             break
@@ -462,19 +460,18 @@ def test_tied_stops_take_the_loops_order(first, tie, reasons):
 
 
 @pytest.mark.parametrize("past, cutoff_tie", [
-    ((3.7, 2340.0, 0.0), False), ((3.7, 2340.0, 0.0), True),
-    ((3.7, 0.0, 0.0), False), ((3.7, 2340.0, 300_000.0), False)],
+    ((3.7, 59, 0), False), ((3.7, 59, 0), True),
+    ((3.7, 0, 0), False), ((3.7, 59, 7500), False)],
     ids=["past_v_lo", "tied_with_v_cutoff", "at_v_lo", "past_q_min"])
 def test_past_window_stop_cuts_the_full_run(past, cutoff_tie):
-    # the run ends ceil(q_past / 40 A s) samples past the first one below
-    # v_lo, and no earlier than ceil(q_min / 40 A s); the samples are the
-    # full run's own, as the loop gives them, and v_cutoff on the same
-    # sample comes first
+    # the run ends steps_past samples past the first one below v_lo, and no
+    # earlier than sample steps_min; the samples are the full run's own, as
+    # the loop gives them, and v_cutoff on the same sample comes first
     args = _tie_args()
     full = kernels.pair_rk4(**args)
-    v_lo, q_past, q_min = past
+    v_lo, steps_past, steps_min = past
     below = int(np.argmax(full[4] < v_lo))
-    last = max(below + math.ceil(q_past / 40.0), math.ceil(q_min / 40.0))
+    last = max(below + steps_past, steps_min)
     reason = 5
     if cutoff_tie:
         args["v_cutoff"] = full[4][last]
@@ -492,7 +489,7 @@ def test_charging_run_ignores_the_past_window_stop():
     args = (0.5, 0.5, 3600.0 * 60.0, 3600.0 * 60.0, 0.002, 0.002, 40.0,
             60.0, 1000, 3.0, 0.02, 1.0e9)
     want = kernels.pair_rk4(*args)
-    got = kernels.pair_rk4(*args, past=(4.5, 0.0, 0.0))
+    got = kernels.pair_rk4(*args, past=(4.5, 0, 0))
     assert got[5:] == want[5:] and want[6] != 5
     assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
 

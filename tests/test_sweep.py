@@ -81,12 +81,12 @@ def test_stopped_cell_runs_give_the_full_runs_features(alpha, beta, c_rate):
     full = simulate_cc_discharge(make_pair(alpha, beta), cfg)
     stopped, = runs
     assert stopped.reason == "past_window" and len(stopped) < len(full)
-    # the stopped run's charge grid holds the smoothing reach past the
-    # window's last sample
+    # the stopped run's charge grid holds a smoothing half-window and one
+    # central difference past the window's last sample
     sm = SmoothingConfig()
     _, v = resample_uniform_q(stopped, sm.dq_ah)
     inside = np.flatnonzero((v >= 3.7) & (v <= 3.9))
-    assert len(v) >= inside[-1] + 1 + sm.reach
+    assert len(v) >= inside[-1] + 1 + sm.sg_window // 2 + 1
     got = cell.features if cell.ok else (cell.status, cell.stage,
                                          cell.message)
     assert got == _outcome(lambda: extract_features(full))
