@@ -114,9 +114,10 @@ def test_smoother_range_equals_whole_signal_slice(config, extra, seed, data):
 @pytest.mark.parametrize("window, order", [(25, 3), (51, 3), (51, 5)])
 @pytest.mark.parametrize("extra", [0, 1])
 def test_smoother_with_one_or_two_interior_samples(window, order, extra):
-    # with one interior sample (n == window) the interior sum is a single
-    # column, which np.add.reduce would sum pairwise: for a few signals in
-    # a hundred that rounds differently from the reference
+    # with one interior sample (n == window) the interior terms form a
+    # single column; np.add.reduce over stacked terms would sum it
+    # pairwise, which for a few signals in a hundred rounds differently
+    # from the reference's running sum
     for seed in range(200):
         y = random_walk(window + extra, seed)
         assert np.array_equal(
