@@ -22,12 +22,6 @@ class ConfigError(PairDvaError, ValueError):
     stage = "config"
 
 
-class DomainError(PairDvaError, ValueError):
-    """State of charge outside [0, 1] beyond the boundary tolerance."""
-
-    stage = "cell-model"
-
-
 class IntegrationError(PairDvaError, RuntimeError):
     """Integrator state left the valid SOC band mid-run."""
 

@@ -68,11 +68,6 @@ class PeakFeatures:
     window: tuple = VOLTAGE_WINDOW
 
 
-@dataclass
-class SkewnessResult:
-    skewness: float
-
-
 def _residual(theta, q, v, step=None):
     """The model at theta minus v. step, when given, receives the q - e
     and tanh((q - e)/f) it takes, in its two rows, from which _jacobian
@@ -242,7 +237,7 @@ def weighted_skewness(x, w) -> float:
 
 def skewness_pipeline(q, v, fit: SurrogateFit,
                       config: SmoothingConfig = None,
-                      density_floor: float = DENSITY_FLOOR) -> SkewnessResult:
+                      density_floor: float = DENSITY_FLOOR) -> float:
     """Step signal to density to weighted Fisher skewness.
 
     N(q) = P(q) - v with P the fit's quadratic part; dN/dq is smoothed,
@@ -272,7 +267,7 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
             f"(need {MIN_SURVIVORS})")
     w = density[kept] * dq
     w = w / w.sum()
-    return SkewnessResult(skewness=_weighted_moments(q[kept], w)[2])
+    return _weighted_moments(q[kept], w)[2]
 
 
 def extract_features(trace, analysis: AnalysisConfig = None) -> PeakFeatures:
@@ -289,5 +284,5 @@ def extract_features(trace, analysis: AnalysisConfig = None) -> PeakFeatures:
     skew = skewness_pipeline(win.q, win.v, fit, analysis.smoothing,
                              density_floor=analysis.density_floor)
     return PeakFeatures(height=peak.height, q_at_peak=peak.q_at_peak,
-                        v_at_peak=peak.v_at_peak, skewness=skew.skewness,
+                        v_at_peak=peak.v_at_peak, skewness=skew,
                         fit=fit, window=(analysis.v_lo, analysis.v_hi))

@@ -83,14 +83,10 @@ def _chunks(rows):
         yield len(batch), tuple(chain.from_iterable(batch))
 
 
-def _round12(x):
-    return float(fmt(x))
-
-
 def _rounded(obj):
     """Recursively round floats for JSON output."""
     if isinstance(obj, float):
-        return _round12(obj)
+        return float(fmt(obj))
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -449,16 +445,27 @@ def read_product_curve_csv(path) -> ProductCurve:
     _, data = _read_table(path, _product_curve_header)
     if data.shape[0] == 0:
         raise FormatError(f"{path} has no data rows")
-    n = data[:, -1]
-    fraction = np.flatnonzero(n != np.trunc(n))
-    if fraction.size:
-        no = _numbered_rows(_read_text(path))[fraction[0]][0]
-        raise FormatError(f"{path} line {no}: column n holds the "
-                          f"non-integer value {n[fraction[0]]:g}")
-    return ProductCurve(rows=[
-        ProductBin(product=r[0], mean_height=r[1], mean_skewness=r[2],
-                   spread_height=r[3], spread_skewness=r[4], n=int(r[5]))
-        for r in data.tolist()])
+    # the rules product_curve's rows keep: whole counts of at least one
+    # cell, nonnegative spreads, products rising row by row
+    rows = []
+    for k, (p, mh, ms, sh, ss, n) in enumerate(data.tolist()):
+        if n != math.trunc(n):
+            problem = f"column n holds the non-integer value {n:g}"
+        elif n < 1.0:
+            problem = f"column n holds {n:g}, below 1"
+        elif sh < 0.0 or ss < 0.0:
+            problem = f"a spread is negative ({sh:g}, {ss:g})"
+        elif rows and p <= rows[-1].product:
+            problem = (f"product {p:g} is not above the previous row's "
+                       f"{rows[-1].product:g}")
+        else:
+            rows.append(ProductBin(product=p, mean_height=mh,
+                                   mean_skewness=ms, spread_height=sh,
+                                   spread_skewness=ss, n=int(n)))
+            continue
+        no = _numbered_rows(_read_text(path))[k][0]
+        raise FormatError(f"{path} line {no}: {problem}")
+    return ProductCurve(rows=rows)
 
 
 def identification_dict(result: IdentificationResult,

@@ -158,25 +158,19 @@ def _discharge_current(config: SimConfig, capacity_ah: float) -> float:
     return i_total
 
 
-def simulate_cc_discharge(params: PairSpec,
-                          config: SimConfig = None) -> SimTrace:
+def simulate_cc_discharge(params: PairSpec, config: SimConfig = None, *,
+                          past: tuple = None) -> SimTrace:
     """Integrate a constant-current discharge of the pair.
 
     The discharge current is -c_rate * (C1 + C2). Terminates at the first
     of: terminal voltage at/below v_cutoff, either SOC at/below soc_floor,
-    or t >= t_max; the reason is recorded on the trace.
+    or t >= t_max; the reason is recorded on the trace. Given past =
+    (v_lo, past_ah, min_ah), it also ends, with reason "past_window", at
+    the first sample whose charge passes that of the first sample below
+    v_lo by past_ah and the start by min_ah, each plus one step's charge: a
+    uniform charge grid then reaches that far, as its samples are
+    interpolated between the trace's.
     """
-    return _discharge(params, config)
-
-
-def _discharge(params: PairSpec, config: SimConfig = None,
-               past: tuple = None) -> SimTrace:
-    """simulate_cc_discharge's run. Given past = (v_lo, past_ah, min_ah),
-    it also ends, with reason "past_window", at the first sample whose
-    charge passes that of the first sample below v_lo by past_ah and the
-    start by min_ah, each plus one step's charge: a uniform charge grid
-    then reaches that far, as its samples are interpolated between the
-    trace's."""
     config = config if config is not None else SimConfig()
     c1, c2 = params.cell1, params.cell2
     i_total = _discharge_current(config, c1.capacity_ah + c2.capacity_ah)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, IdentifyError, PairDvaError, SweepError
 from .features import AnalysisConfig, PeakFeatures, extract_features
-from .pairsim import (PairSpec, SimConfig, _discharge, _require_positive,
-                      make_pair)
+from .pairsim import (PairSpec, SimConfig, _require_positive, make_pair,
+                      simulate_cc_discharge)
 from .signal import SmoothingConfig
 
 
@@ -133,7 +133,8 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
 
     Grids left out are the GridConfig defaults. Cells come out row-major
     over (alpha, beta). Per-cell failures are recorded in the cell status,
-    not raised.
+    not raised; a ratio or nameplate that PairSpec rejects raises its
+    ConfigError before any cell runs.
     """
     grid = GridConfig()
     alpha_grid = np.asarray(
@@ -143,11 +144,8 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
     if alpha_grid.ndim != 1 or beta_grid.ndim != 1 or not len(alpha_grid) \
             or not len(beta_grid):
         raise ConfigError("grids must be nonempty 1-d arrays")
-    if np.any(alpha_grid <= 0.0) or np.any(alpha_grid > 1.0):
-        raise ConfigError("alpha grid values must lie in (0, 1]")
-    if np.any(beta_grid < 1.0):
-        raise ConfigError("beta grid values must be >= 1")
-    _require_positive(c_total=c_total, r_parallel=r_parallel)
+    pairs = [make_pair(float(a), float(b), c_total, r_parallel)
+             for a in alpha_grid for b in beta_grid]
     sim_config = sim_config if sim_config is not None else SimConfig()
     analysis = analysis if analysis is not None else AnalysisConfig()
 
@@ -160,18 +158,18 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
     past = (analysis.v_lo, reach * smoothing.dq_ah,
             smoothing.min_samples * smoothing.dq_ah)
 
-    def one(a, b):
+    def one(pair):
         try:
-            trace = _discharge(make_pair(a, b, c_total, r_parallel),
-                               sim_config, past)
+            trace = simulate_cc_discharge(pair, sim_config, past=past)
             feats = extract_features(trace, analysis)
-            return SweepCell(alpha=a, beta=b, features=feats, status="ok")
+            return SweepCell(alpha=pair.alpha, beta=pair.beta,
+                             features=feats, status="ok")
         except PairDvaError as err:
-            return SweepCell(alpha=a, beta=b, features=None,
+            return SweepCell(alpha=pair.alpha, beta=pair.beta, features=None,
                              status=type(err).__name__, stage=err.stage,
                              message=str(err))
 
-    cells = [one(float(a), float(b)) for a in alpha_grid for b in beta_grid]
+    cells = [one(pair) for pair in pairs]
     return FeatureMap(alpha_grid=alpha_grid, beta_grid=beta_grid,
                       cells=cells, c_total=c_total, r_parallel=r_parallel,
                       sim_config=sim_config, smoothing=analysis.smoothing)
@@ -232,8 +230,11 @@ def identify_product(features: PeakFeatures, curve: ProductCurve,
     curve gives one). The candidate whose skewness is nearest the measured
     value wins; the result is ambiguous when the top two skewness values
     differ by less than skew_resolution. A height matched nowhere, or a
-    non-finite height or skewness, raises IdentifyError.
+    non-finite height or skewness, raises IdentifyError; a skew_resolution
+    that is negative or not finite raises ConfigError.
     """
+    if skew_resolution is not None and not 0.0 <= skew_resolution < math.inf:
+        raise ConfigError("skew_resolution must be nonnegative and finite")
     rows = curve.rows
     if not rows:
         raise SweepError("identification curve has no rows")

@@ -275,7 +275,7 @@ def test_criterion_10_skewness_statistic(acceptance_report):
     sym_stat = abs(weighted_skewness(q, np.exp(-0.5 * ((q - 50.0) / 2.0)**2)))
     v = 3.85 - 2e-3 * q + 1e-6 * q * q - 0.03 * np.tanh((q - 50.0) / 2.0)
     fit = fit_positive_surrogate(q, v)
-    sym_pipe = abs(skewness_pipeline(q, v, fit).skewness)
+    sym_pipe = abs(skewness_pipeline(q, v, fit))
 
     # two-point density: masses 3/4 and 1/4 one unit apart -> +2/sqrt(3)
     two_mass = weighted_skewness(np.array([0.0, 1.0]),

@@ -2,6 +2,7 @@
 
 import argparse
 import filecmp
+import importlib.util
 import json
 import os
 import subprocess
@@ -236,7 +237,7 @@ def test_bad_grid_rejected_before_the_sweep(monkeypatch, capsys, tmp_path,
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the settings were checked")
 
-    monkeypatch.setattr(pairdva.sweep, "_discharge", no_cell)
+    monkeypatch.setattr(pairdva.sweep, "simulate_cc_discharge", no_cell)
     out = tmp_path / "out"
     assert cli.main(["sweep", *flags, "--outdir", str(out)]) == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -517,6 +518,22 @@ def test_sweep_then_identify(workdir, sim_dir):
     assert doc["inputs"]["curve"].endswith("product_curve.csv")
 
 
+@pytest.mark.parametrize("resolution", ["-1", "nan", "inf"])
+def test_bad_skew_resolution_exits_with_config_error(capsys, tmp_path,
+                                                     resolution):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(f"{PRODUCT_CURVE_HEADER}\n0.5,0.01,-0.2,0.001,0.01,3\n"
+                     "1,0.016,0,0.001,0.01,3\n2,0.01,0.2,0.001,0.01,3\n")
+    assert cli.main(["identify", str(GOLDEN), str(curve),
+                     "--skew-resolution", resolution]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    line, = err.strip().splitlines()
+    doc = json.loads(line)
+    assert (doc["error"], doc["stage"]) == ("ConfigError", "config")
+    assert doc["message"].startswith("skew_resolution must")
+
+
 SIM_KEYS = ["--c-rate", "--dt-s", "--z0", "--v-cutoff-v", "--soc-floor",
             "--t-max-s"]
 ANALYSIS_KEYS = ["--dq-ah", "--sg-window", "--sg-order", "--v-lo", "--v-hi",
@@ -555,6 +572,53 @@ def test_cli_surface_is_pinned():
     ]
     ints = {key for key, (caster, _) in cli._SCHEMA.items() if caster is int}
     assert ints == {"sg_window", "sg_order", "alpha_steps", "beta_steps"}
+
+
+def test_package_surface_is_pinned():
+    assert sorted(pairdva.__all__) == [
+        "AnalysisConfig", "Candidate", "CellParams", "ConfigError",
+        "DvDqCurve", "EmptyWindowError", "FeatureError", "FeatureMap",
+        "FitWarning", "FormatError", "GridConfig", "IdentificationResult",
+        "IdentifyError", "IntegrationError", "NoPeakError", "PairDvaError",
+        "PairSpec", "PeakFeatures", "PeakSample", "ProductBin",
+        "ProductCurve", "SimConfig", "SimTrace", "SmoothingConfig",
+        "SpanError", "SurrogateFit", "SweepCell", "SweepError",
+        "VOLTAGE_WINDOW", "__version__", "backend", "docv_dz",
+        "downselect_window", "dvdq_curve", "extract_features",
+        "fit_positive_surrogate", "identify_product", "make_pair", "ocv",
+        "peak_height", "product_curve", "resample_uniform_q", "run_sweep",
+        "simulate_cc_discharge", "single_cell_reference",
+        "skewness_pipeline", "weighted_skewness",
+    ]
+
+
+def _benchmark_tracing():
+    # the benchmark's tracer imports only the standard library, so it
+    # loads from its file without the benchmark's own imports
+    path = Path(__file__).parents[1] / "pipebench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("pipebench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_finds_the_names_it_calls():
+    for name in _benchmark_tracing().LAYERS:
+        module, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"pairdva.{module}"),
+                                attr, None)), name
+    for name in ("backend", "make_pair", "SweepCell", "FeatureMap",
+                 "PeakFeatures"):
+        assert hasattr(pairdva, name), name
+
+
+def test_traced_sweep_times_its_discharges():
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    with tracing.patched(tracing.bindings(tracer)), tracer.operation(0):
+        pairdva.run_sweep([1.0], [1.0])
+    metrics = tracing.layer_metrics(tracing.layer_table(tracer.spans))
+    assert metrics["pairsim.simulate_s"][0] > 0.0
 
 
 def test_unit_suffixed_config_key_reaches_sim_config(workdir):

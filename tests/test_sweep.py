@@ -29,14 +29,17 @@ def test_grid_config_validated(kw):
 
 
 @pytest.mark.parametrize("kw", [
-    {"c_total": 0.0}, {"c_total": np.inf}, {"r_parallel": -1.0}])
+    {"c_total": 0.0}, {"c_total": np.inf}, {"r_parallel": -1.0},
+    {"alpha_grid": [np.nan]}, {"beta_grid": [np.inf]},
+    {"beta_grid": [np.nan]}])
 def test_run_sweep_checks_the_nameplate_first(monkeypatch, kw):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the nameplate was checked")
 
-    monkeypatch.setattr(sweep, "_discharge", no_cell)
-    with pytest.raises(ConfigError, match=f"^{next(iter(kw))} must"):
-        run_sweep([1.0], [1.0], **kw)
+    monkeypatch.setattr(sweep, "simulate_cc_discharge", no_cell)
+    name = next(iter(kw)).removesuffix("_grid")
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        run_sweep(**{"alpha_grid": [1.0], "beta_grid": [1.0], **kw})
 
 
 def test_product_curve_rejects_infinite_bin_width(default_sweep):
@@ -72,10 +75,10 @@ def test_stopped_cell_runs_give_the_full_runs_features(alpha, beta, c_rate):
     # features, or its error, are those of the whole discharge
     cfg = SimConfig(c_rate=c_rate)
     runs = []
-    discharge = sweep._discharge
+    discharge = sweep.simulate_cc_discharge
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(sweep, "_discharge",
-                        lambda *args: runs.append(discharge(*args))
+        patched.setattr(sweep, "simulate_cc_discharge",
+                        lambda *args, **kw: runs.append(discharge(*args, **kw))
                         or runs[-1])
         cell, = run_sweep([alpha], [beta], sim_config=cfg).cells
     full = simulate_cc_discharge(make_pair(alpha, beta), cfg)
@@ -336,6 +339,12 @@ def test_product_curve_roundtrip(tmp_path, default_sweep, default_curve):
     ("1,0.2,0,0.01,0.01,x", ["line 3", "column n", "'x'"]),
     ("1,0.2,0,0.01,0.01,1.5", ["line 3", "column n", "1.5"]),
     ("1,0.2,1_0,0.01,0.01,3", ["line 3", "mean_skewness", "'1_0'"]),
+    ("1,0.2,0,0.01,0.01,0", ["line 3", "column n", "below 1"]),
+    ("1,0.2,0,0.01,0.01,-2", ["line 3", "column n", "-2"]),
+    ("1,0.2,0,-0.01,0.01,3", ["line 3", "spread", "negative"]),
+    ("1,0.2,0,0.01,-0.01,3", ["line 3", "spread", "negative"]),
+    ("0.5,0.2,0,0.01,0.01,3", ["line 3", "product 0.5", "not above"]),
+    ("0.4,0.2,0,0.01,0.01,3", ["line 3", "product 0.4", "not above"]),
 ])
 def test_product_curve_csv_rejects_bad_cells(tmp_path, row, where):
     path = tmp_path / "curve.csv"
@@ -354,3 +363,12 @@ def test_identify_resolution_override(default_sweep, default_curve):
     assert res.ambiguous                     # everything within 10.0
     res = identify_product(feats, default_curve, skew_resolution=1e-12)
     assert not res.ambiguous
+
+
+@pytest.mark.parametrize("resolution", [-1.0, np.nan, np.inf])
+def test_identify_rejects_a_bad_resolution(baseline_features, default_curve,
+                                           resolution):
+    with pytest.raises(ConfigError, match="^skew_resolution must") as err:
+        identify_product(baseline_features, default_curve,
+                         skew_resolution=resolution)
+    assert err.value.stage == "config"
