@@ -71,10 +71,8 @@ _SCHEMA.update(skew_resolution=(_float_or_none, None), outdir=(str, None),
 def load_config_file(path) -> dict:
     """Parse a flat key = value file of UTF-8 text, with or without a
     byte-order mark; '#' starts a comment."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as err:
-        raise FormatError(f"cannot read config file {path}: {err}") from err
+    with fileio.open_text(path, "config file ") as file:
+        text = file.read()
     values = {}
     for ln_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

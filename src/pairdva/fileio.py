@@ -10,13 +10,18 @@ reader takes the header line, then hands the open file to np.loadtxt, so
 it holds no copy of the text; only a file that parse rejects (a
 whitespace-only line, a malformed or a non-finite cell) is read again as
 text, to drop those lines or to name the bad cell's file line and column.
-The CSV and features JSON readers decode UTF-8 and drop a leading
-byte-order mark, as spreadsheet exports write one.
+Every input is opened by open_text, which decodes UTF-8 and drops a
+leading byte-order mark, as spreadsheet exports write one.
+
+Each format is stated once, as a table below: TRACE_COLUMNS for the trace
+CSV, FEATURES_KEYS for the features JSON and ProductBin's fields for the
+product-curve CSV. Its writer and its reader both follow the table.
 """
 
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
 
@@ -48,11 +53,30 @@ REQUIRED_TRACE_COLUMNS = tuple(
 _CELL_COLUMNS = tuple(
     name for name, (_, role) in TRACE_COLUMNS.items() if role == "cell")
 
-FEATUREMAP_HEADER = "alpha,beta,product,height_V_per_Ah,skewness,status"
-PRODUCT_CURVE_HEADER = ("product,mean_height,mean_skewness,spread_height,"
-                        "spread_skewness,n")
+# the fit diagnostics, which files written before them lack
+_FIT_DIAGNOSTICS = {
+    "fit.n_iter": ("n_iter", "integer"),
+    "fit.scaled_gradient": ("scaled_gradient", "number"),
+}
+# The features JSON: each key, in the order the writer puts them, with the
+# PeakFeatures field it holds and its JSON kind. A "fit." key sits in the
+# "fit" object and holds a field of the SurrogateFit.
+FEATURES_KEYS = {
+    "height_V_per_Ah": ("height", "number"),
+    "q_at_peak_Ah": ("q_at_peak", "number"),
+    "v_at_peak_V": ("v_at_peak", "number"),
+    "skewness": ("skewness", "number"),
+    **{f"fit.{name}": (name, "number") for name in "abcdef"},
+    "fit.residual_rms_V": ("residual_rms", "number"),
+    "fit.converged": ("converged", "bool"),
+    **_FIT_DIAGNOSTICS,
+    "window_V": ("window", "pair"),
+}
 
-_PRODUCT_CURVE_COLUMNS = PRODUCT_CURVE_HEADER.split(",")
+FEATUREMAP_HEADER = "alpha,beta,product,height_V_per_Ah,skewness,status"
+# the product-curve CSV's columns are ProductBin's fields, in order
+_PRODUCT_CURVE_COLUMNS = [f.name for f in dataclasses.fields(ProductBin)]
+PRODUCT_CURVE_HEADER = ",".join(_PRODUCT_CURVE_COLUMNS)
 
 # rows formatted per write; one chunk's text is the writer's largest buffer
 CHUNK_ROWS = 1024
@@ -144,9 +168,24 @@ def trace_sidecar(trace: SimTrace, run_config: dict) -> dict:
                    current_reversal=trace.current_reversal)
 
 
-def _numbered_rows(text):
-    """(file line number, line) of each data row: the nonblank lines after
-    the header."""
+@contextmanager
+def open_text(path, what=""):
+    """The file at path, open as UTF-8 text with a leading byte-order mark
+    dropped. An OSError or an undecodable byte, on opening or in the
+    with-block, raises FormatError("cannot read <what><path>: ...")."""
+    try:
+        with open(path, encoding="utf-8-sig") as text:
+            yield text
+    except (OSError, UnicodeDecodeError) as err:
+        raise FormatError(f"cannot read {what}{path}: {err}") from err
+
+
+def _numbered_rows(path):
+    """(file line number, line) of each data row of the CSV at path: the
+    nonblank lines after the header. Only a file whose rows fail the fast
+    parse, or break a rule of its format, is read here, as one text."""
+    with open_text(path) as csv:
+        text = csv.read()
     return [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
             if ln.strip()][1:]
 
@@ -165,10 +204,11 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _malformed_row(path, text, header) -> FormatError:
-    """The error for the first data row with the wrong cell count or a cell
-    that is not a number, naming its file line (and column)."""
-    for no, ln in _numbered_rows(text):
+def _malformed_row(path, rows, header) -> FormatError:
+    """The error for the first of rows, (file line number, line) pairs, with
+    the wrong cell count or a cell that is not a number, naming its file
+    line (and column)."""
+    for no, ln in rows:
         cells = ln.split(",")
         if len(cells) < len(header):
             return FormatError(
@@ -185,28 +225,6 @@ def _malformed_row(path, text, header) -> FormatError:
     return FormatError(f"{path} has malformed data rows")
 
 
-def _numeric_rows(path, text, header):
-    """The data rows of text, under its header line, as a float array with
-    one column per header name. A malformed row or a non-finite cell raises
-    FormatError naming its file line and column."""
-    rows = _numbered_rows(text)
-    if not rows:
-        return np.empty((0, len(header)))
-    try:
-        data = np.loadtxt([ln for _, ln in rows], delimiter=",",
-                          comments=None, ndmin=2)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(header):
-        raise _malformed_row(path, text, header)
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, c = np.argwhere(~finite)[0]
-        raise FormatError(f"{path} line {rows[row][0]}: column {header[c]} "
-                          f"holds the non-finite value {data[row, c]:g}")
-    return data
-
-
 def _next_nonblank(csv) -> str:
     """The next line of the open file csv with more than whitespace, or ""
     at its end."""
@@ -216,43 +234,50 @@ def _next_nonblank(csv) -> str:
     return ""
 
 
-def _parse_rest(csv, n_columns):
-    """The rest of the open file csv as a float array of n_columns, parsed
-    by np.loadtxt as it is read; None when that parse fails or gives a
-    non-finite cell."""
-    first = _next_nonblank(csv)     # np.loadtxt warns on an empty input
+def _parse(path, header, lines, numbers=None):
+    """The data rows in lines as a float array with one column per header
+    name, parsed by np.loadtxt as they are read. On the first pass lines
+    is the open file past its header, and a failed parse (a whitespace-only
+    line, a malformed row or a non-finite cell) returns None. On the second
+    they are the file's nonblank data rows, on the file lines numbers, and
+    a failed parse raises FormatError naming the bad row's line and
+    column."""
+    rest = iter(lines)
+    first = _next_nonblank(rest)    # np.loadtxt warns on an empty input
     if not first:
-        return np.empty((0, n_columns))
+        return np.empty((0, len(header)))
     try:
-        data = np.loadtxt(chain([first], csv), delimiter=",", comments=None,
-                          ndmin=2)
+        data = np.loadtxt(chain([first], rest), delimiter=",",
+                          comments=None, ndmin=2)
     except ValueError:
+        data = None
+    shaped = data is not None and data.shape[1] == len(header)
+    if shaped and np.isfinite(data).all():
+        return data
+    if numbers is None:
         return None
-    if data.shape[1] != n_columns or not np.isfinite(data).all():
-        return None
-    return data
-
-
-def _read_text(path: Path) -> str:
-    return path.read_text(encoding="utf-8-sig")
+    if not shaped:
+        raise _malformed_row(path, zip(numbers, lines), header)
+    row, c = np.argwhere(~np.isfinite(data))[0]
+    raise FormatError(f"{path} line {numbers[row]}: column {header[c]} "
+                      f"holds the non-finite value {data[row, c]:g}")
 
 
 def _read_table(path, parse_header):
     """The header names and the data rows of a CSV, as a float array with
     one column per name. parse_header(path, line) checks the first nonblank
-    line and returns its names before any row is parsed; the text is read
-    for _numeric_rows only when _parse_rest fails."""
-    try:
-        with open(path, encoding="utf-8-sig") as csv:
-            line = _next_nonblank(csv)
-            if not line:
-                raise FormatError(f"{path} is empty")
-            header = parse_header(path, line.rstrip("\n"))
-            data = _parse_rest(csv, len(header))
-        if data is None:
-            data = _numeric_rows(path, _read_text(path), header)
-    except (OSError, UnicodeDecodeError) as err:
-        raise FormatError(f"cannot read {path}: {err}") from err
+    line and returns its names before any row is parsed; the file is read
+    again, as its numbered rows, only when the parse of the open file
+    fails."""
+    with open_text(path) as csv:
+        line = _next_nonblank(csv)
+        if not line:
+            raise FormatError(f"{path} is empty")
+        header = parse_header(path, line.rstrip("\n"))
+        data = _parse(path, header, csv)
+    if data is None:
+        numbers, lines = zip(*_numbered_rows(path))
+        data = _parse(path, header, lines, numbers)
     return header, data
 
 
@@ -290,7 +315,7 @@ def read_trace_csv(path) -> SimTrace:
         first = int(np.argmax(sign != 0.0))     # the first nonzero current
         back = np.flatnonzero(sign == -sign[first]) if sign[first] else []
         if len(back):
-            rows = _numbered_rows(_read_text(path))
+            rows = _numbered_rows(path)
             other = back[0]
             raise FormatError(
                 f"{path} line {rows[other][0]}: column i_total_A holds "
@@ -312,23 +337,14 @@ def read_trace_csv(path) -> SimTrace:
 # --- features ----------------------------------------------------------------
 
 def features_dict(features: PeakFeatures) -> dict:
-    fit = features.fit
-    return {
-        **provenance(),
-        "height_V_per_Ah": features.height,
-        "q_at_peak_Ah": features.q_at_peak,
-        "v_at_peak_V": features.v_at_peak,
-        "skewness": features.skewness,
-        "fit": {
-            "a": fit.a, "b": fit.b, "c": fit.c,
-            "d": fit.d, "e": fit.e, "f": fit.f,
-            "residual_rms_V": fit.residual_rms,
-            "converged": fit.converged,
-            "n_iter": fit.n_iter,
-            "scaled_gradient": fit.scaled_gradient,
-        },
-        "window_V": [features.window[0], features.window[1]],
-    }
+    doc = provenance()
+    for key, (field, kind) in FEATURES_KEYS.items():
+        group, _, name = key.rpartition(".")    # group: "" or "fit"
+        obj = doc.setdefault(group, {}) if group else doc
+        value = getattr(getattr(features, group) if group else features,
+                        field)
+        obj[name] = list(value) if kind == "pair" else value
+    return doc
 
 
 # the Python types json.loads gives each kind of JSON value (a bool's type
@@ -338,67 +354,47 @@ _JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,)}
 
 def read_features_json(path) -> PeakFeatures:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as err:
-        raise FormatError(f"cannot read features file {path}: {err}") from err
+    with open_text(path, "features file ") as file:
+        text = file.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(f"cannot parse features file {path}: {err}") from err
 
-    def name(key, prefix):
-        # a list element is named by its index: window_V[0]
-        return f"{prefix}[{key}]" if type(key) is int else prefix + key
-
-    def typed(obj, key, kind, prefix=""):
-        value = obj[key]
+    def checked(key, value, kind):
+        """value, the field key holds, once it is a JSON kind (a pair: a
+        list of two numbers) and, as a number, finite."""
+        if kind == "pair":
+            if type(value) is not list or len(value) != 2:
+                raise FormatError(f"features file {path}: field {key} holds "
+                                  f"{json.dumps(value)}, not a list of two "
+                                  f"JSON numbers")
+            return tuple(checked(f"{key}[{k}]", v, "number")
+                         for k, v in enumerate(value))
         if type(value) not in _JSON_TYPES[kind]:
-            raise FormatError(f"features file {path}: field "
-                              f"{name(key, prefix)} holds "
+            raise FormatError(f"features file {path}: field {key} holds "
                               f"{json.dumps(value)}, not a JSON {kind}")
-        return value
-
-    def number(obj, key, prefix=""):
+        if kind != "number":
+            return value
         try:
-            value = float(typed(obj, key, "number", prefix))
+            value = float(value)
         except OverflowError:           # an integer past the float range
             value = math.inf
         if not math.isfinite(value):
-            raise FormatError(f"features file {path}: field "
-                              f"{name(key, prefix)} holds the non-finite "
-                              f"value {value:g}")
+            raise FormatError(f"features file {path}: field {key} holds the "
+                              f"non-finite value {value:g}")
         return value
-
-    def pair(key):
-        value = doc[key]
-        if type(value) is not list or len(value) != 2:
-            raise FormatError(f"features file {path}: field {key} holds "
-                              f"{json.dumps(value)}, not a list of two "
-                              f"JSON numbers")
-        return number(value, 0, key), number(value, 1, key)
 
     try:
         fit = doc["fit"]
-        return PeakFeatures(
-            height=number(doc, "height_V_per_Ah"),
-            q_at_peak=number(doc, "q_at_peak_Ah"),
-            v_at_peak=number(doc, "v_at_peak_V"),
-            skewness=number(doc, "skewness"),
-            fit=SurrogateFit(
-                **{key: number(fit, key, "fit.") for key in "abcdef"},
-                residual_rms=number(fit, "residual_rms_V", "fit."),
-                converged=typed(fit, "converged", "bool", "fit."),
-                # diagnostics that older features files do not carry
-                **{key: cast(typed(fit, key, kind, "fit."))
-                   for key, kind, cast in (("n_iter", "integer", int),
-                                           ("scaled_gradient", "number",
-                                            float))
-                   if key in fit}),
-            window=pair("window_V"))
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as err:
+        fields = {"": {}, "fit": {}}
+        for key, (field, kind) in FEATURES_KEYS.items():
+            group, _, name = key.rpartition(".")
+            obj = fit if group else doc
+            if key not in _FIT_DIAGNOSTICS or name in obj:
+                fields[group][field] = checked(key, obj[name], kind)
+        return PeakFeatures(**fields[""], fit=SurrogateFit(**fields["fit"]))
+    except (KeyError, TypeError) as err:
         raise FormatError(
             f"features file {path} missing field: {err}") from err
 
@@ -429,9 +425,11 @@ def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
 
 
 def write_product_curve_csv(curve: ProductCurve, path):
-    rows = [(r.product, r.mean_height, r.mean_skewness, r.spread_height,
-             r.spread_skewness, r.n) for r in curve.rows]
-    _write_rows(path, PRODUCT_CURVE_HEADER, _chunks(rows), 5, ",%s")
+    rows = [[getattr(r, name) for name in _PRODUCT_CURVE_COLUMNS]
+            for r in curve.rows]
+    # the float columns, then the count n
+    _write_rows(path, PRODUCT_CURVE_HEADER, _chunks(rows),
+                len(_PRODUCT_CURVE_COLUMNS) - 1, ",%s")
 
 
 def _product_curve_header(path, line):
@@ -448,22 +446,22 @@ def read_product_curve_csv(path) -> ProductCurve:
     # the rules product_curve's rows keep: whole counts of at least one
     # cell, nonnegative spreads, products rising row by row
     rows = []
-    for k, (p, mh, ms, sh, ss, n) in enumerate(data.tolist()):
+    for k, cells in enumerate(data.tolist()):
+        row = ProductBin(*cells)        # its count n still a float
+        n, sh, ss = row.n, row.spread_height, row.spread_skewness
         if n != math.trunc(n):
             problem = f"column n holds the non-integer value {n:g}"
         elif n < 1.0:
             problem = f"column n holds {n:g}, below 1"
         elif sh < 0.0 or ss < 0.0:
             problem = f"a spread is negative ({sh:g}, {ss:g})"
-        elif rows and p <= rows[-1].product:
-            problem = (f"product {p:g} is not above the previous row's "
-                       f"{rows[-1].product:g}")
+        elif rows and row.product <= rows[-1].product:
+            problem = (f"product {row.product:g} is not above the previous "
+                       f"row's {rows[-1].product:g}")
         else:
-            rows.append(ProductBin(product=p, mean_height=mh,
-                                   mean_skewness=ms, spread_height=sh,
-                                   spread_skewness=ss, n=int(n)))
+            rows.append(dataclasses.replace(row, n=int(n)))
             continue
-        no = _numbered_rows(_read_text(path))[k][0]
+        no = _numbered_rows(path)[k][0]
         raise FormatError(f"{path} line {no}: {problem}")
     return ProductCurve(rows=rows)
 

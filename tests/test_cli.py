@@ -175,6 +175,41 @@ def test_features_integer_past_float_range_rejected(baseline_features,
         fileio.read_features_json(path)
 
 
+def _scaled_gradient_file(doc, path, raw):
+    """doc written to path with raw JSON text as fit.scaled_gradient."""
+    doc["fit"]["scaled_gradient"] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', raw))
+    return path
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1e999", "inf"), ("-1e999", "-inf"), ("NaN", "nan")])
+def test_non_finite_scaled_gradient_rejected(baseline_features, tmp_path,
+                                             raw, value):
+    path = _scaled_gradient_file(fileio.features_dict(baseline_features),
+                                 tmp_path / "features.json", raw)
+    with pytest.raises(fileio.FormatError) as err:
+        fileio.read_features_json(path)
+    assert err.value.stage == "io"
+    assert str(err.value) == (f"features file {path}: field "
+                              f"fit.scaled_gradient holds the non-finite "
+                              f"value {value}")
+
+
+def test_identify_exits_2_on_a_non_finite_scaled_gradient(baseline_features,
+                                                          workdir):
+    path = _scaled_gradient_file(fileio.features_dict(baseline_features),
+                                 workdir / "bad_gradient.json", "1e999")
+    proc = run_cli(["identify", str(path), "nope.csv"], cwd=workdir)
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    err = stderr_json(proc)
+    assert (err["error"], err["stage"]) == ("FormatError", "io")
+    assert err["message"] == (f"features file {path}: field "
+                              f"fit.scaled_gradient holds the non-finite "
+                              f"value inf")
+
+
 def test_repeated_trace_column_rejected(tmp_path):
     path = tmp_path / "twice.csv"
     path.write_text("t_s,t_s,i_total_A,vt_V\n"

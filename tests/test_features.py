@@ -177,6 +177,24 @@ def test_grid_refinement_invariance():
     assert fine == pytest.approx(coarse, rel=0.005)
 
 
+@pytest.mark.parametrize("x, w, cls, message", [
+    ([0.0, 1.0], [1.0], ConfigError,
+     "x and w must be 1-d arrays of equal length"),
+    ([[0.0, 1.0]], [[1.0, 1.0]], ConfigError,
+     "x and w must be 1-d arrays of equal length"),
+    ([0.0, 1.0, 2.0], [1.0, -1.0, 1.0], ConfigError,
+     "weights must be nonnegative"),
+    ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], ConfigError,
+     "weights must have positive total mass"),
+    ([0.0, 1.0, 2.0], [0.0, 2.0, 0.0], FeatureError,
+     "degenerate density: sigma below 1e-9 Ah")],
+    ids=["lengths", "two_d", "negative", "zero_total", "point_mass"])
+def test_weighted_skewness_rejects_bad_masses(x, w, cls, message):
+    with pytest.raises(cls, match=f"^{message}$") as err:
+        weighted_skewness(x, w)
+    assert err.value.stage == cls.stage
+
+
 # --- the pipeline ---------------------------------------------------------------
 
 def test_symmetric_step_density_is_unskewed(monkeypatch):
@@ -231,6 +249,28 @@ def test_floor_starves_the_density():
     fit = fit_positive_surrogate(q, v)
     with pytest.raises(FeatureError):
         skewness_pipeline(q, v, fit, density_floor=1.0)
+
+
+def test_pipeline_window_shorter_than_the_filter_rejected():
+    q = np.arange(24) * 0.05 + 49.4        # the default filter is 25 long
+    v = surrogate(q, **TRUE)
+    fit = SurrogateFit(**TRUE, residual_rms=0.0, converged=True)
+    with pytest.raises(SpanError, match="^window shorter than the "
+                                        "smoothing filter$") as err:
+        skewness_pipeline(q, v, fit)
+    assert err.value.stage == "skewness_pipeline"
+
+
+def test_pipeline_rejects_a_density_of_nonpositive_mass():
+    # with no quadratic part the step signal is -v, which falls where v
+    # rises, so its derivative sums below zero
+    q = np.arange(40.0, 60.0 + 1e-9, 0.05)
+    fit = SurrogateFit(a=0.0, b=0.0, c=0.0, d=0.0, e=50.0, f=2.0,
+                       residual_rms=0.0, converged=True)
+    with pytest.raises(FeatureError, match="^step-signal density has "
+                                           "nonpositive total mass$") as err:
+        skewness_pipeline(q, 3.7 + 0.01 * q, fit)
+    assert err.value.stage == "skewness_pipeline"
 
 
 def test_extract_features_matches_golden(balanced_trace):

@@ -318,7 +318,7 @@ def test_clean_file_is_never_read_as_text(long_csv, monkeypatch):
     def no_text(path):
         raise AssertionError(f"{path} read as text")
 
-    monkeypatch.setattr(fileio, "_read_text", no_text)
+    monkeypatch.setattr(fileio, "_numbered_rows", no_text)
     assert len(fileio.read_trace_csv(long_csv)) == 10_000
 
 

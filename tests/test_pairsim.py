@@ -229,6 +229,18 @@ def test_overflowing_current_rejected(run):
         run(SimConfig(c_rate=1e300, t_max=100.0), 1e300)
 
 
+@pytest.mark.parametrize("run", [
+    lambda cfg, c: simulate_cc_discharge(make_pair(1.0, 1.0, c), cfg),
+    lambda cfg, c: single_cell_reference(c, 0.001, cfg)],
+    ids=["pair", "single_cell"])
+def test_underflowing_current_rejected(run):
+    # c_rate * capacity underflows to a zero current
+    with pytest.raises(ConfigError,
+                       match="^discharge current is zero$") as err:
+        run(SimConfig(c_rate=1e-300), 1e-300)
+    assert err.value.stage == "config"
+
+
 @pytest.mark.parametrize("t_max", [1e9, 1e300])
 @pytest.mark.parametrize("run", [
     lambda cfg: simulate_cc_discharge(make_pair(1.0, 1.0), cfg),
@@ -257,6 +269,13 @@ def test_kernel_sample_count_matches_arrays_at_n_max():
                            0.002, 0.003, -40.0, 1.0, 5, 3.0, 0.02, 1.0e9)
     assert out[5:] == (5, 0)
     assert all(len(col) == 5 for col in out[:5])
+
+
+@pytest.mark.parametrize("step", [2.0 ** -52, 2.0 ** -53, -2.0 ** -60, 0.0])
+def test_step_bound_of_a_step_below_rounding_is_n_max(step):
+    # a step no larger than 2**-52 may not move the sum at all
+    assert kernels.step_bound(1.0, step, 77) == 77
+    assert kernels.step_bound(1.0, 0.25, 77) == 7      # ceil(4 + ...) + 2
 
 
 def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,

@@ -44,6 +44,22 @@ def test_resample_rejects_flat_charge_column():
                            dq=0.05)
 
 
+@pytest.mark.parametrize("q_raw, dq, cls, stage, message", [
+    ([0.0, 1.0, 2.0], 0.0, ConfigError, "config", "dq must be positive"),
+    ([0.0, 1.0, 2.0], -0.5, ConfigError, "config", "dq must be positive"),
+    ([0.0, 1.0, 2.0], np.nan, ConfigError, "config", "dq must be positive"),
+    ([0.0], 0.05, SpanError, "resample", "trace too short to resample"),
+    ([0.0, 0.02, 0.04], 0.05, SpanError, "resample",
+     "charge span shorter than one grid step")],
+    ids=["zero_dq", "negative_dq", "nan_dq", "one_sample", "short_span"])
+def test_resample_rejects_a_grid_it_cannot_make(q_raw, dq, cls, stage,
+                                                message):
+    q_raw = np.asarray(q_raw)
+    with pytest.raises(cls, match=f"^{message}$") as err:
+        resample_uniform_q(synthetic_trace(q_raw, 4.0 - 0.01 * q_raw), dq)
+    assert err.value.stage == stage
+
+
 @pytest.mark.parametrize("column", ["q", "v"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_resample_rejects_non_finite_samples(column, bad):
@@ -197,6 +213,13 @@ def test_smoothing_config_validated():
         SmoothingConfig(dq_ah=0.0)
 
 
+def test_smoothing_config_needs_a_positive_order():
+    with pytest.raises(ConfigError, match="^sg_order must be at least 1$") \
+            as err:
+        SmoothingConfig(sg_order=0)
+    assert err.value.stage == "config"
+
+
 # --- windowing ----------------------------------------------------------------
 
 def test_window_keeps_requested_voltage_band():
@@ -232,6 +255,16 @@ def test_tied_peaks_resolve_to_smaller_q():
     curve = DvDqCurve(q=np.arange(5.0), v=np.linspace(3.9, 3.7, 5),
                       dvdq=np.array([0.0, 1.0, 0.0, 1.0, 0.0]), dq=1.0)
     assert peak_height(curve).q_at_peak == 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_peak_needs_three_samples(n):
+    curve = DvDqCurve(q=np.arange(float(n)), v=np.full(n, 3.8),
+                      dvdq=np.ones(n), dq=1.0)
+    with pytest.raises(NoPeakError, match="^curve too short to hold an "
+                                          "interior maximum$") as err:
+        peak_height(curve)
+    assert err.value.stage == "peak_height"
 
 
 def test_balanced_peak_matches_golden(balanced_trace):

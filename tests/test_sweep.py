@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairdva import (ConfigError, FeatureError, GridConfig, IdentifyError,
-                     PairDvaError, SimConfig, SmoothingConfig,
+                     PairDvaError, SimConfig, SmoothingConfig, SweepError,
                      extract_features, fileio, identify_product, make_pair,
                      product_curve, resample_uniform_q, run_sweep,
                      simulate_cc_discharge, sweep)
@@ -40,6 +40,15 @@ def test_run_sweep_checks_the_nameplate_first(monkeypatch, kw):
     name = next(iter(kw)).removesuffix("_grid")
     with pytest.raises(ConfigError, match=f"^{name} must"):
         run_sweep(**{"alpha_grid": [1.0], "beta_grid": [1.0], **kw})
+
+
+@pytest.mark.parametrize("alpha_grid, beta_grid", [
+    ([], [1.0]), ([1.0], []), ([[1.0]], [1.0])])
+def test_run_sweep_rejects_an_empty_or_nested_grid(alpha_grid, beta_grid):
+    with pytest.raises(ConfigError,
+                       match="^grids must be nonempty 1-d arrays$") as err:
+        run_sweep(alpha_grid, beta_grid)
+    assert err.value.stage == "config"
 
 
 def test_product_curve_rejects_infinite_bin_width(default_sweep):
@@ -312,6 +321,30 @@ def test_identify_rejects_non_finite_features(default_curve,
     feats = replace(baseline_features, **{field: value})
     with pytest.raises(IdentifyError, match=f"{field} is {value}"):
         identify_product(feats, default_curve)
+
+
+def test_identify_rejects_an_empty_curve(baseline_features):
+    with pytest.raises(SweepError,
+                       match="^identification curve has no rows$") as err:
+        identify_product(baseline_features, sweep.ProductCurve(rows=[]))
+    assert err.value.stage == "product_curve"
+
+
+def test_identify_resolution_without_rows_near_one(baseline_features):
+    # no row within 0.1 of p = 1, so every row's skewness spread sets the
+    # default resolution: twice the largest, 0.4
+    from dataclasses import replace
+    curve = sweep.ProductCurve(rows=[
+        sweep.ProductBin(product=p, mean_height=h, mean_skewness=s,
+                         spread_height=0.0, spread_skewness=ss, n=1)
+        for p, h, s, ss in ((2.0, 1.0, 0.0, 0.05), (3.0, 2.0, 0.1, 0.2),
+                            (4.0, 1.0, 0.3, 0.1))])
+    feats = replace(baseline_features, height=1.5, skewness=0.05)
+    res = identify_product(feats, curve)
+    assert res.note == "2 height crossing(s); skewness resolution 0.4"
+    assert [c.p for c in res.candidates] == [2.5, 3.5]
+    assert res.ambiguous                # 0.15 apart, under 0.4
+    assert not identify_product(feats, curve, skew_resolution=0.1).ambiguous
 
 
 def test_product_curve_roundtrip(tmp_path, default_sweep, default_curve):
