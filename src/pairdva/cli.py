@@ -71,27 +71,26 @@ _SCHEMA.update(skew_resolution=(_float_or_none, None), outdir=(str, None),
 def load_config_file(path) -> dict:
     """Parse a flat key = value file of UTF-8 text, with or without a
     byte-order mark; '#' starts a comment."""
-    with fileio.open_text(path, "config file ") as file:
-        text = file.read()
     values = {}
-    for ln_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(
-                f"config line {ln_no}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        caster = _SCHEMA[key][0]
-        try:
-            values[key] = caster(val)
-        except ValueError as err:
-            raise ConfigError(
-                f"config key {key!r}: bad value {val!r} ({err})") from err
+    with fileio.open_text(path, "config file ") as file:
+        for ln_no, raw in fileio.numbered_lines(file):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise FormatError(f"config line {ln_no}: expected "
+                                  f"'key = value', got {raw!r}")
+            key, _, val = line.partition("=")
+            key = key.strip()
+            val = val.strip()
+            if key not in _SCHEMA:
+                raise ConfigError(f"unknown config key {key!r}")
+            caster = _SCHEMA[key][0]
+            try:
+                values[key] = caster(val)
+            except ValueError as err:
+                raise ConfigError(f"config key {key!r}: bad value {val!r} "
+                                  f"({err})") from err
     return values
 
 

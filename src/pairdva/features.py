@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FeatureError, FitWarning, SpanError
-from .signal import (SmoothingConfig, VOLTAGE_WINDOW, downselect_window,
-                     dvdq_curve, peak_height, savgol_smooth)
+from .signal import (SmoothingConfig, VOLTAGE_WINDOW, dvdq_curve,
+                     peak_height, savgol_smooth)
 
 DENSITY_FLOOR = 0.005      # 1/Ah, below which samples are discarded
 MIN_SURVIVORS = 10
@@ -273,10 +273,8 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
 def extract_features(trace, analysis: AnalysisConfig = None) -> PeakFeatures:
     """Full feature extraction for one discharge trace (pair signals only)."""
     analysis = analysis if analysis is not None else AnalysisConfig()
-    # the curve holds the window's run and the samples its dV/dQ reads
-    curve = dvdq_curve(trace, analysis.smoothing,
-                       (analysis.v_lo, analysis.v_hi))
-    win = downselect_window(curve, analysis.v_lo, analysis.v_hi)
+    win = dvdq_curve(trace, analysis.smoothing,
+                     (analysis.v_lo, analysis.v_hi))
     peak = peak_height(win)
     fit = fit_positive_surrogate(win.q, win.v,
                                  init_hints={"e": peak.q_at_peak},

@@ -8,10 +8,11 @@ CSVs go through memory a bounded piece at a time. The writer formats and
 writes CHUNK_ROWS rows per write, never the text of the whole file. A
 reader takes the header line, then hands the open file to np.loadtxt, so
 it holds no copy of the text; only a file that parse rejects (a
-whitespace-only line, a malformed or a non-finite cell) is read again as
-text, to drop those lines or to name the bad cell's file line and column.
-Every input is opened by open_text, which decodes UTF-8 and drops a
-leading byte-order mark, as spreadsheet exports write one.
+whitespace-only line, a malformed or a non-finite cell) is read again,
+line by line, to drop those lines or to name the first bad row's file
+line and column. Every input is opened by open_text, which decodes UTF-8
+and drops a leading byte-order mark, as spreadsheet exports write one,
+and its lines are numbered by numbered_lines alone.
 
 Each format is stated once, as a table below: TRACE_COLUMNS for the trace
 CSV, FEATURES_KEYS for the features JSON and ProductBin's fields for the
@@ -31,7 +32,7 @@ from . import __version__
 from .errors import FormatError
 from .features import PeakFeatures, SurrogateFit
 from .kernels import backend
-from .pairsim import PairSpec, SimTrace
+from .pairsim import SECONDS_PER_HOUR, PairSpec, SimTrace
 from .sweep import FeatureMap, IdentificationResult, ProductBin, ProductCurve
 
 # The trace CSV schema: each column's SimTrace field and its role, in the
@@ -180,14 +181,26 @@ def open_text(path, what=""):
         raise FormatError(f"cannot read {what}{path}: {err}") from err
 
 
-def _numbered_rows(path):
-    """(file line number, line) of each data row of the CSV at path: the
-    nonblank lines after the header. Only a file whose rows fail the fast
-    parse, or break a rule of its format, is read here, as one text."""
+def numbered_lines(text):
+    """(line number, line) of each nonblank line of the open text file text,
+    numbered from 1 at its first line, with the line's newline dropped.
+    A line ends at "\n", "\r" or "\r\n" and nowhere else: these are the
+    lines the open file yields, and the lines np.loadtxt parses."""
+    for no, line in enumerate(text, 1):
+        if line.strip():
+            yield no, line.rstrip("\n")
+
+
+def _data_rows(path):
+    """numbered_lines of the CSV at path past its header, read again: only
+    for a file whose rows fail the fast parse or a rule of its format."""
     with open_text(path) as csv:
-        text = csv.read()
-    return [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
-            if ln.strip()][1:]
+        yield from islice(numbered_lines(csv), 1, None)
+
+
+def _line_no(path, k) -> int:
+    """The file line number of data row k (from 0) of the CSV at path."""
+    return next(islice(_data_rows(path), k, None))[0]
 
 
 def _is_number(cell: str) -> bool:
@@ -204,10 +217,10 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _malformed_row(path, rows, header) -> FormatError:
-    """The error for the first of rows, (file line number, line) pairs, with
-    the wrong cell count or a cell that is not a number, naming its file
-    line (and column)."""
+def _bad_row(path, header, rows) -> FormatError:
+    """The error for the first of rows, (file line number, line) pairs,
+    with the wrong cell count, a cell that is not a number or a non-finite
+    one, naming its file line (and column)."""
     for no, ln in rows:
         cells = ln.split(",")
         if len(cells) < len(header):
@@ -222,67 +235,50 @@ def _malformed_row(path, rows, header) -> FormatError:
             if not _is_number(cell):
                 return FormatError(f"{path} line {no}: column {name} holds "
                                    f"the non-numeric value {cell.strip()!r}")
+        for name, cell in zip(header, cells):
+            if not math.isfinite(float(cell)):
+                return FormatError(f"{path} line {no}: column {name} holds "
+                                   f"the non-finite value {float(cell):g}")
     return FormatError(f"{path} has malformed data rows")
 
 
-def _next_nonblank(csv) -> str:
-    """The next line of the open file csv with more than whitespace, or ""
-    at its end."""
-    for line in csv:
-        if line.strip():
-            return line
-    return ""
-
-
-def _parse(path, header, lines, numbers=None):
-    """The data rows in lines as a float array with one column per header
-    name, parsed by np.loadtxt as they are read. On the first pass lines
-    is the open file past its header, and a failed parse (a whitespace-only
-    line, a malformed row or a non-finite cell) returns None. On the second
-    they are the file's nonblank data rows, on the file lines numbers, and
-    a failed parse raises FormatError naming the bad row's line and
-    column."""
-    rest = iter(lines)
-    first = _next_nonblank(rest)    # np.loadtxt warns on an empty input
-    if not first:
-        return np.empty((0, len(header)))
+def _parse(lines, width):
+    """The CSV rows in lines, none of them blank, as a float array of width
+    columns, parsed by np.loadtxt as they are read; None when a line fails
+    the parse (a whitespace-only line, a malformed row) or a cell is not
+    finite."""
     try:
-        data = np.loadtxt(chain([first], rest), delimiter=",",
-                          comments=None, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        data = None
-    shaped = data is not None and data.shape[1] == len(header)
-    if shaped and np.isfinite(data).all():
-        return data
-    if numbers is None:
         return None
-    if not shaped:
-        raise _malformed_row(path, zip(numbers, lines), header)
-    row, c = np.argwhere(~np.isfinite(data))[0]
-    raise FormatError(f"{path} line {numbers[row]}: column {header[c]} "
-                      f"holds the non-finite value {data[row, c]:g}")
+    shaped = data.shape[1] == width
+    return data if shaped and np.isfinite(data).all() else None
 
 
-def _read_table(path, parse_header):
-    """The header names and the data rows of a CSV, as a float array with
-    one column per name. parse_header(path, line) checks the first nonblank
-    line and returns its names before any row is parsed; the file is read
-    again, as its numbered rows, only when the parse of the open file
-    fails."""
+def _read_table(path, check_header):
+    """The header names, the first nonblank line's cells split at commas
+    and stripped, and the data rows of a CSV, as a float array with one
+    column per name. check_header(path, names) checks the names before
+    np.loadtxt reads the open file from its first data row."""
     with open_text(path) as csv:
-        line = _next_nonblank(csv)
+        lines = numbered_lines(csv)
+        _, line = next(lines, (0, ""))
         if not line:
             raise FormatError(f"{path} is empty")
-        header = parse_header(path, line.rstrip("\n"))
-        data = _parse(path, header, csv)
+        header = [name.strip() for name in line.split(",")]
+        check_header(path, header)
+        first = next(lines, None)       # np.loadtxt warns on an empty input
+        if first is None:
+            return header, np.empty((0, len(header)))
+        data = _parse(chain([first[1]], csv), len(header))
+    if data is None:        # a whitespace-only line, or a bad row
+        data = _parse((ln for _, ln in _data_rows(path)), len(header))
     if data is None:
-        numbers, lines = zip(*_numbered_rows(path))
-        data = _parse(path, header, lines, numbers)
+        raise _bad_row(path, header, _data_rows(path))
     return header, data
 
 
-def _trace_header(path, line):
-    header = [h.strip() for h in line.split(",")]
+def _trace_header(path, header):
     unknown = set(header) - set(TRACE_COLUMNS)
     if unknown:
         raise FormatError(f"unknown trace columns: {sorted(unknown)}")
@@ -292,7 +288,6 @@ def _trace_header(path, line):
     missing = [c for c in REQUIRED_TRACE_COLUMNS if c not in header]
     if missing:
         raise FormatError(f"trace file missing required columns: {missing}")
-    return header
 
 
 def read_trace_csv(path) -> SimTrace:
@@ -315,18 +310,18 @@ def read_trace_csv(path) -> SimTrace:
         first = int(np.argmax(sign != 0.0))     # the first nonzero current
         back = np.flatnonzero(sign == -sign[first]) if sign[first] else []
         if len(back):
-            rows = _numbered_rows(path)
             other = back[0]
             raise FormatError(
-                f"{path} line {rows[other][0]}: column i_total_A holds "
-                f"{i[other]:g} A, of the other sign from the {i[first]:g} A "
-                f"on line {rows[first][0]}; the charge column cannot be "
-                f"rebuilt across a change of current direction")
+                f"{path} line {_line_no(path, other)}: column i_total_A "
+                f"holds {i[other]:g} A, of the other sign from the "
+                f"{i[first]:g} A on line {_line_no(path, first)}; the charge "
+                f"column cannot be rebuilt across a change of current "
+                f"direction")
         # cumulative trapezoid of |i| over t, from 0 at the first sample
         t, i_abs = fields["t"], np.abs(i)
         fields["q_pair"] = np.concatenate((
             [0.0], np.cumsum(np.diff(t) * (i_abs[1:] + i_abs[:-1]) / 2.0)
-        )) / 3600.0
+        )) / SECONDS_PER_HOUR
     zeros = np.zeros(data.shape[0])
     return SimTrace(
         **{f: fields.get(f, zeros) for f, _ in TRACE_COLUMNS.values()},
@@ -347,32 +342,37 @@ def features_dict(features: PeakFeatures) -> dict:
     return doc
 
 
-# the Python types json.loads gives each kind of JSON value (a bool's type
+# the Python types json.load gives each kind of JSON value (a bool's type
 # is bool, not int)
-_JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,)}
+_JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,),
+               "object": (dict,)}
 
 
 def read_features_json(path) -> PeakFeatures:
+    """The features a JSON document at path holds: an object with the keys
+    of FEATURES_KEYS, whose "fit" is an object."""
     path = Path(path)
     with open_text(path, "features file ") as file:
-        text = file.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"cannot parse features file {path}: {err}") from err
+        try:
+            doc = json.load(file)
+        except json.JSONDecodeError as err:
+            raise FormatError(
+                f"cannot parse features file {path}: {err}") from err
 
     def checked(key, value, kind):
-        """value, the field key holds, once it is a JSON kind (a pair: a
-        list of two numbers) and, as a number, finite."""
+        """value, the field key holds (the document, with key None), once
+        it is a JSON kind (a pair: a list of two numbers) and, as a number,
+        finite."""
+        what = "the document" if key is None else f"field {key}"
         if kind == "pair":
             if type(value) is not list or len(value) != 2:
-                raise FormatError(f"features file {path}: field {key} holds "
+                raise FormatError(f"features file {path}: {what} holds "
                                   f"{json.dumps(value)}, not a list of two "
                                   f"JSON numbers")
             return tuple(checked(f"{key}[{k}]", v, "number")
                          for k, v in enumerate(value))
         if type(value) not in _JSON_TYPES[kind]:
-            raise FormatError(f"features file {path}: field {key} holds "
+            raise FormatError(f"features file {path}: {what} holds "
                               f"{json.dumps(value)}, not a JSON {kind}")
         if kind != "number":
             return value
@@ -381,12 +381,13 @@ def read_features_json(path) -> PeakFeatures:
         except OverflowError:           # an integer past the float range
             value = math.inf
         if not math.isfinite(value):
-            raise FormatError(f"features file {path}: field {key} holds the "
+            raise FormatError(f"features file {path}: {what} holds the "
                               f"non-finite value {value:g}")
         return value
 
     try:
-        fit = doc["fit"]
+        doc = checked(None, doc, "object")
+        fit = checked("fit", doc["fit"], "object")
         fields = {"": {}, "fit": {}}
         for key, (field, kind) in FEATURES_KEYS.items():
             group, _, name = key.rpartition(".")
@@ -394,7 +395,7 @@ def read_features_json(path) -> PeakFeatures:
             if key not in _FIT_DIAGNOSTICS or name in obj:
                 fields[group][field] = checked(key, obj[name], kind)
         return PeakFeatures(**fields[""], fit=SurrogateFit(**fields["fit"]))
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
         raise FormatError(
             f"features file {path} missing field: {err}") from err
 
@@ -432,10 +433,9 @@ def write_product_curve_csv(curve: ProductCurve, path):
                 len(_PRODUCT_CURVE_COLUMNS) - 1, ",%s")
 
 
-def _product_curve_header(path, line):
-    if line != PRODUCT_CURVE_HEADER:
+def _product_curve_header(path, header):
+    if header != _PRODUCT_CURVE_COLUMNS:
         raise FormatError(f"{path} is not a product-curve CSV")
-    return _PRODUCT_CURVE_COLUMNS
 
 
 def read_product_curve_csv(path) -> ProductCurve:
@@ -461,8 +461,7 @@ def read_product_curve_csv(path) -> ProductCurve:
         else:
             rows.append(dataclasses.replace(row, n=int(n)))
             continue
-        no = _numbered_rows(path)[k][0]
-        raise FormatError(f"{path} line {no}: {problem}")
+        raise FormatError(f"{path} line {_line_no(path, k)}: {problem}")
     return ProductCurve(rows=rows)
 
 

@@ -202,10 +202,10 @@ def dvdq_curve(trace, config: SmoothingConfig = None,
     """Smooth the resampled pair voltage and differentiate to -dV/dQ.
 
     Central differences inside, one-sided at the ends. Given a voltage
-    window (v_lo, v_hi), the curve holds only its run (downselect_window's
-    rule) and one sample on either side, so the run's ends take central
-    differences too and the run's dV/dQ is the whole curve's, bit for bit:
-    the smoother still reads the raw samples around the range.
+    window (v_lo, v_hi), the curve is only its run (downselect_window's
+    rule), and the run's dV/dQ is the whole curve's, bit for bit: the
+    smoother still reads the raw samples around the run, and the run's ends
+    take central differences over the sample on either side.
     """
     config = config if config is not None else SmoothingConfig()
     q, v = resample_uniform_q(trace, config.dq_ah)
@@ -213,13 +213,12 @@ def dvdq_curve(trace, config: SmoothingConfig = None,
         raise SpanError(
             f"{len(q)} samples; need at least twice the filter window "
             f"({config.min_samples})")
-    lo, hi = 0, len(q)
-    if window is not None:
-        run = _window_run(v, *window)
-        lo, hi = max(0, run.start - 1), min(len(q), run.stop + 1)
+    run = slice(0, len(q)) if window is None else _window_run(v, *window)
+    lo, hi = max(0, run.start - 1), min(len(q), run.stop + 1)
     v_smooth = savgol_smooth(v, config.sg_window, config.sg_order, lo, hi)
     dvdq = -np.gradient(v_smooth, config.dq_ah)
-    return DvDqCurve(q=q[lo:hi], v=v[lo:hi], dvdq=dvdq, dq=config.dq_ah)
+    return DvDqCurve(q=q[run], v=v[run], dq=config.dq_ah,
+                     dvdq=dvdq[run.start - lo:run.stop - lo])
 
 
 def downselect_window(curve: DvDqCurve, v_lo: float = VOLTAGE_WINDOW[0],

@@ -210,6 +210,27 @@ def test_identify_exits_2_on_a_non_finite_scaled_gradient(baseline_features,
                               f"value inf")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("[]", "the document holds []"), ("5", "the document holds 5"),
+    ('"s"', 'the document holds "s"'), ("null", "the document holds null"),
+    ('{"fit": 3}', "field fit holds 3")])
+def test_features_document_not_an_object_rejected(capsys, tmp_path, text,
+                                                  where):
+    path = tmp_path / "features.json"
+    path.write_text(text)
+    message = f"features file {path}: {where}, not a JSON object"
+    with pytest.raises(fileio.FormatError) as err:
+        fileio.read_features_json(path)
+    assert (err.value.stage, str(err.value)) == ("io", message)
+    # the features file is read, and rejected, before the curve
+    assert cli.main(["identify", str(path), "nope.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    line, = err.strip().splitlines()
+    assert json.loads(line) == {"error": "FormatError", "stage": "io",
+                                "message": message}
+
+
 def test_repeated_trace_column_rejected(tmp_path):
     path = tmp_path / "twice.csv"
     path.write_text("t_s,t_s,i_total_A,vt_V\n"
@@ -387,6 +408,17 @@ def test_latin1_features_file_rejected(baseline_features, workdir):
     # the features file is read, and rejected, before the curve
     proc = run_cli(["identify", str(path), "nope.csv"], cwd=workdir)
     assert_one_read_error(proc, f"cannot read features file {path}: ")
+
+
+def test_form_feed_in_a_config_line_keeps_the_line_whole(tmp_path):
+    # str.splitlines breaks at a form feed; the file's line does not
+    cfg = tmp_path / "feed.cfg"
+    cfg.write_text("dt_s = 2.0\x0c x\n")
+    with pytest.raises(cli.ConfigError) as err:
+        cli.load_config_file(cfg)
+    assert err.value.stage == "config"
+    assert str(err.value).startswith("config key 'dt_s': bad value "
+                                     r"'2.0\x0c x' (")
 
 
 def test_byte_order_mark_config_is_read(workdir):

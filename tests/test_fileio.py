@@ -135,6 +135,33 @@ def test_crlf_blank_lines_and_padding_read_like_plain_file(tmp_path):
         in str(err.value)
 
 
+@pytest.mark.parametrize("mark", ["\x85", "\x0c"],
+                         ids=["next_line", "form_feed"])
+def test_line_break_characters_inside_a_line_keep_its_number(tmp_path,
+                                                             mark):
+    # str.splitlines breaks at U+0085 and form feeds; a file's lines end
+    # only at a newline or carriage return
+    path = tmp_path / "marked.csv"
+    path.write_text(f"t_s,i_total_A,vt_V\n0,-40,4.1{mark}\n1,-40,abc\n"
+                    "2,-40,4.0\n", encoding="utf-8")
+    with pytest.raises(fileio.FormatError) as err:
+        fileio.read_trace_csv(path)
+    assert err.value.stage == "io"
+    assert str(err.value) == (f"{path} line 3: column vt_V holds the "
+                              f"non-numeric value 'abc'")
+
+
+def test_first_bad_row_in_file_order_is_named(tmp_path):
+    path = tmp_path / "two_bad.csv"
+    path.write_text("t_s,i_total_A,vt_V\n0,-40,4.1\n1,-40,nan\n"
+                    "2,-40,4.0\n3,-40\n")
+    with pytest.raises(fileio.FormatError) as err:
+        fileio.read_trace_csv(path)
+    assert err.value.stage == "io"
+    assert str(err.value) == (f"{path} line 3: column vt_V holds the "
+                              f"non-finite value nan")
+
+
 def test_minimal_columns_charge_equals_reference_trapezoid(tmp_path):
     # lab-style: irregular 1-10 s sampling, noisy current, 0.1 mV steps
     rng = np.random.default_rng(11)
@@ -234,6 +261,17 @@ def test_chunked_product_curve_round_trips(tmp_path):
         float(fileio.fmt(b.mean_skewness)) for b in bins]
 
 
+def test_spaced_product_curve_header_reads_like_plain_file(tmp_path):
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    rows = ["0.5,0.01,-0.2,0.001,0.01,3", "1,0.016,0,0.001,0.01,3"]
+    plain.write_text("\n".join([fileio.PRODUCT_CURVE_HEADER, *rows]) + "\n")
+    spaced.write_text("\n".join(ln.replace(",", ", ") for ln in
+                                [fileio.PRODUCT_CURVE_HEADER, *rows]) + "\n")
+    want = fileio.read_product_curve_csv(plain).rows
+    assert fileio.read_product_curve_csv(spaced).rows == want
+    assert want[1] == ProductBin(1.0, 0.016, 0.0, 0.001, 0.01, 3)
+
+
 @pytest.fixture(scope="module")
 def long_csv(tmp_path_factory):
     """A 10,000-row trace CSV; data row 7,000 sits on file line 7,001."""
@@ -318,7 +356,7 @@ def test_clean_file_is_never_read_as_text(long_csv, monkeypatch):
     def no_text(path):
         raise AssertionError(f"{path} read as text")
 
-    monkeypatch.setattr(fileio, "_numbered_rows", no_text)
+    monkeypatch.setattr(fileio, "_data_rows", no_text)
     assert len(fileio.read_trace_csv(long_csv)) == 10_000
 
 
