@@ -3,7 +3,8 @@
 Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file (--config), then explicit flags. Unknown config
 keys are rejected. Any library error is reported as one machine-readable
-JSON object on stderr with a nonzero exit code.
+JSON object on stderr with a nonzero exit code: 2 for a bad setting, an
+input that cannot be read or an output that cannot be written.
 
 Every setting with a library default is a field of a config dataclass;
 the schema, the flags and the objects handed to the library are all derived
@@ -108,7 +109,10 @@ def resolve_config(args) -> dict:
 def _outdir(cfg) -> Path:
     outdir = cfg["outdir"] or os.environ.get(OUTDIR_ENV) or "."
     path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise FormatError(f"cannot write {path}: {err}") from err
     return path
 
 
@@ -119,7 +123,8 @@ def _emit(text: str, cfg, sidecar: dict = None):
         sys.stdout.write(text)
         return
     path = _outdir(cfg) / out
-    path.write_text(text)
+    with fileio.create_text(path) as file:
+        file.write(text)
     print(path)
     if sidecar is not None:
         side_path = path.with_name(path.stem + ".config.json")
@@ -129,10 +134,13 @@ def _emit(text: str, cfg, sidecar: dict = None):
 
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
+    base = cfg["out"] or "trace"
+    if base == "-":
+        raise ConfigError("--out takes simulate's output base name; "
+                          "simulate writes two files, not stdout (-)")
     trace = simulate_cc_discharge(_build(PairSpec, cfg),
                                   _build(SimConfig, cfg))
     outdir = _outdir(cfg)
-    base = cfg["out"] or "trace"
     csv_path = outdir / f"{base}.csv"
     side_path = outdir / f"{base}.json"
     fileio.write_trace_csv(trace, csv_path)

@@ -4,19 +4,22 @@ Every float is written with 12 significant digits, so identical inputs
 produce byte-identical files. Sidecar JSONs echo the fully resolved
 configuration so any output can regenerate its run.
 
-CSVs go through memory a bounded piece at a time. The writer formats and
-writes CHUNK_ROWS rows per write, never the text of the whole file. A
-reader takes the header line, then hands the open file to np.loadtxt, so
-it holds no copy of the text; only a file that parse rejects (a
-whitespace-only line, a malformed or a non-finite cell) is read again,
-line by line, to drop those lines or to name the first bad row's file
-line and column. Every input is opened by open_text, which decodes UTF-8
-and drops a leading byte-order mark, as spreadsheet exports write one,
-and its lines are numbered by numbered_lines alone.
+CSVs go through memory a bounded piece at a time. One writer serves every
+CSV: it formats and writes CHUNK_ROWS rows per write, never the text of
+the whole file. Every output is opened by create_text, which reports a
+file it cannot write as a FormatError. A reader takes the header line,
+then hands the open file to np.loadtxt, so it holds no copy of the text;
+only a file that parse rejects (a whitespace-only line, a malformed or a
+non-finite cell) is read again, line by line, to drop those lines or to
+name the first bad row's file line and column. Every input is opened by
+open_text, which decodes UTF-8 and drops a leading byte-order mark, as
+spreadsheet exports write one, and its lines are numbered by
+numbered_lines alone.
 
 Each format is stated once, as a table below: TRACE_COLUMNS for the trace
-CSV, FEATURES_KEYS for the features JSON and ProductBin's fields for the
-product-curve CSV. Its writer and its reader both follow the table.
+CSV, FEATURES_KEYS for the features JSON, FEATUREMAP_COLUMNS for the
+feature-map CSV and ProductBin's fields for the product-curve CSV. Its
+writer, and its reader where it has one, follow the table.
 """
 
 import dataclasses
@@ -74,7 +77,16 @@ FEATURES_KEYS = {
     "window_V": ("window", "pair"),
 }
 
-FEATUREMAP_HEADER = "alpha,beta,product,height_V_per_Ah,skewness,status"
+# The feature-map CSV: each float column and its value from a SweepCell,
+# in the order the writer puts them, with nan for a failed cell's
+# features; the cell's status is the last column.
+FEATUREMAP_COLUMNS = {
+    "alpha": lambda c: c.alpha, "beta": lambda c: c.beta,
+    "product": lambda c: c.product,
+    "height_V_per_Ah": lambda c: c.features.height if c.ok else math.nan,
+    "skewness": lambda c: c.features.skewness if c.ok else math.nan,
+}
+FEATUREMAP_HEADER = ",".join([*FEATUREMAP_COLUMNS, "status"])
 # the product-curve CSV's columns are ProductBin's fields, in order
 _PRODUCT_CURVE_COLUMNS = [f.name for f in dataclasses.fields(ProductBin)]
 PRODUCT_CURVE_HEADER = ",".join(_PRODUCT_CURVE_COLUMNS)
@@ -88,24 +100,23 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_rows(path, header: str, chunks, n_floats: int, tail: str = ""):
-    """Write the header line, then the rows of each chunk. A chunk is its
-    row count and a tuple of its cells, row after row; a row is n_floats
-    cells in fmt's 12 digits ("%.12g" % x is the text of f"{x:.12g}"), then
-    tail % the rest of the row. One % formats and one write writes a
-    chunk."""
-    row_format = ",".join(["%.12g"] * n_floats) + tail + "\n"
-    with open(path, "w") as out:
+def _write_table(path, header: str, columns, labels=None):
+    """Write the header line, then one row per index of the float columns,
+    each cell in fmt's 12 digits ("%.12g" % x is the text of f"{x:.12g}"),
+    then the row's item of labels, if given, through %s. A chunk of
+    CHUNK_ROWS rows is stacked, and its cells become Python floats, only
+    as it is written; one % formats and one write writes it."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    tail = [] if labels is None else [np.asarray(labels, dtype=object)]
+    row_format = ",".join(["%.12g"] * len(cols) + ["%s"] * len(tail)) + "\n"
+    cols += tail
+    with create_text(path) as out:
         out.write(header + "\n")
-        for n_rows, cells in chunks:
-            out.write((row_format * n_rows) % cells)
-
-
-def _chunks(rows):
-    """The rows of a table as _write_rows chunks of CHUNK_ROWS rows."""
-    rows = iter(rows)
-    while batch := list(islice(rows, CHUNK_ROWS)):
-        yield len(batch), tuple(chain.from_iterable(batch))
+        for start in range(0, len(cols[0]), CHUNK_ROWS):
+            block = np.column_stack([c[start:start + CHUNK_ROWS]
+                                     for c in cols])
+            out.write((row_format * len(block))
+                      % tuple(block.ravel().tolist()))
 
 
 def _rounded(obj):
@@ -124,7 +135,8 @@ def dumps_json(obj) -> str:
 
 
 def write_json(obj, path):
-    Path(path).write_text(dumps_json(obj))
+    with create_text(path) as out:
+        out.write(dumps_json(obj))
 
 
 def provenance() -> dict:
@@ -147,15 +159,8 @@ def sidecar(kind: str, run_config: dict, **fields) -> dict:
 # --- simulation traces -----------------------------------------------------
 
 def write_trace_csv(trace: SimTrace, path):
-    cols = [np.asarray(getattr(trace, field), dtype=float)
-            for field, _ in TRACE_COLUMNS.values()]
-    # a chunk's rows are stacked, and become Python floats, only as it is
-    # written
-    blocks = (np.column_stack([c[start:start + CHUNK_ROWS] for c in cols])
-              for start in range(0, len(cols[0]), CHUNK_ROWS))
-    _write_rows(path, TRACE_HEADER,
-                ((len(b), tuple(b.ravel().tolist())) for b in blocks),
-                len(cols))
+    _write_table(path, TRACE_HEADER, [getattr(trace, field)
+                                      for field, _ in TRACE_COLUMNS.values()])
 
 
 def trace_sidecar(trace: SimTrace, run_config: dict) -> dict:
@@ -167,6 +172,18 @@ def trace_sidecar(trace: SimTrace, run_config: dict) -> dict:
                    sim_config=trace.config, termination_reason=trace.reason,
                    single_cell=not trace.has_cell2,
                    current_reversal=trace.current_reversal)
+
+
+@contextmanager
+def create_text(path):
+    """The file at path, created or emptied, open for writing as UTF-8
+    text. An OSError, on opening or in the with-block, raises
+    FormatError("cannot write <path>: ...")."""
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+    except OSError as err:
+        raise FormatError(f"cannot write {path}: {err}") from err
 
 
 @contextmanager
@@ -342,6 +359,18 @@ def features_dict(features: PeakFeatures) -> dict:
     return doc
 
 
+# the characters of a value that a features-file error echoes
+ECHO_CHARS = 80
+
+
+def _echo(value) -> str:
+    """value as JSON text, cut past its first ECHO_CHARS characters."""
+    text = json.dumps(value)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 # the Python types json.load gives each kind of JSON value (a bool's type
 # is bool, not int)
 _JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,),
@@ -367,13 +396,13 @@ def read_features_json(path) -> PeakFeatures:
         if kind == "pair":
             if type(value) is not list or len(value) != 2:
                 raise FormatError(f"features file {path}: {what} holds "
-                                  f"{json.dumps(value)}, not a list of two "
+                                  f"{_echo(value)}, not a list of two "
                                   f"JSON numbers")
             return tuple(checked(f"{key}[{k}]", v, "number")
                          for k, v in enumerate(value))
         if type(value) not in _JSON_TYPES[kind]:
             raise FormatError(f"features file {path}: {what} holds "
-                              f"{json.dumps(value)}, not a JSON {kind}")
+                              f"{_echo(value)}, not a JSON {kind}")
         if kind != "number":
             return value
         try:
@@ -403,12 +432,10 @@ def read_features_json(path) -> PeakFeatures:
 # --- sweeps ------------------------------------------------------------------
 
 def write_featuremap_csv(fmap: FeatureMap, path):
-    rows = [(c.alpha, c.beta, c.product,
-             # a failed cell's height and skewness are written as nan
-             *((c.features.height, c.features.skewness) if c.ok
-               else (math.nan, math.nan)),
-             c.status) for c in fmap.cells]
-    _write_rows(path, FEATUREMAP_HEADER, _chunks(rows), 5, ",%s")
+    _write_table(path, FEATUREMAP_HEADER,
+                 [[value(c) for c in fmap.cells]
+                  for value in FEATUREMAP_COLUMNS.values()],
+                 [c.status for c in fmap.cells])
 
 
 def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
@@ -426,11 +453,10 @@ def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
 
 
 def write_product_curve_csv(curve: ProductCurve, path):
-    rows = [[getattr(r, name) for name in _PRODUCT_CURVE_COLUMNS]
-            for r in curve.rows]
-    # the float columns, then the count n
-    _write_rows(path, PRODUCT_CURVE_HEADER, _chunks(rows),
-                len(_PRODUCT_CURVE_COLUMNS) - 1, ",%s")
+    # the float columns, then the count n as text
+    *floats, counts = ([getattr(r, name) for r in curve.rows]
+                       for name in _PRODUCT_CURVE_COLUMNS)
+    _write_table(path, PRODUCT_CURVE_HEADER, floats, counts)
 
 
 def _product_curve_header(path, header):

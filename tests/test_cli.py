@@ -231,6 +231,28 @@ def test_features_document_not_an_object_rejected(capsys, tmp_path, text,
                                 "message": message}
 
 
+def test_long_features_value_echo_is_cut(baseline_features, workdir):
+    doc = fileio.features_dict(baseline_features)
+    doc["skewness"] = [doc["skewness"]] * 100_000
+    path = workdir / "long_skewness.json"
+    path.write_text(json.dumps(doc))
+    text = json.dumps(doc["skewness"])
+    message = (f"features file {path}: field skewness holds "
+               f"{text[:fileio.ECHO_CHARS]}... ({len(text)} characters), "
+               f"not a JSON number")
+    with pytest.raises(fileio.FormatError) as err:
+        fileio.read_features_json(path)
+    assert (err.value.stage, str(err.value)) == ("io", message)
+    assert len(message) < len(str(path)) + 200
+    # the features file is read, and rejected, before the curve
+    proc = run_cli(["identify", str(path), "nope.csv"], cwd=workdir)
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert len(proc.stderr.encode()) < 1000
+    assert stderr_json(proc) == {"error": "FormatError", "stage": "io",
+                                 "message": message}
+
+
 def test_repeated_trace_column_rejected(tmp_path):
     path = tmp_path / "twice.csv"
     path.write_text("t_s,t_s,i_total_A,vt_V\n"
@@ -330,6 +352,49 @@ def test_missing_input_file(workdir):
     doc = stderr_json(proc)
     assert doc["error"] == "FormatError"
     assert doc["stage"] == "io"
+
+
+def assert_one_error(capsys, error, stage, message):
+    """One JSON error line on stderr, and nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    line, = err.strip().splitlines()
+    assert json.loads(line) == {"error": error, "stage": stage,
+                                "message": message}
+
+
+def test_simulate_rejects_stdout_as_its_base_name(capsys, tmp_path):
+    assert cli.main(["simulate", "--outdir", str(tmp_path),
+                     "--out", "-"]) == 2
+    assert_one_error(capsys, "ConfigError", "config",
+                     "--out takes simulate's output base name; simulate "
+                     "writes two files, not stdout (-)")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_in_a_missing_directory_exits_2(capsys, tmp_path, sim_dir):
+    assert cli.main(["simulate", "--outdir", str(tmp_path),
+                     "--out", "nodir/trace"]) == 2
+    path = tmp_path / "nodir" / "trace.csv"
+    assert_one_error(capsys, "FormatError", "io",
+                     f"cannot write {path}: [Errno 2] No such file or "
+                     f"directory: '{path}'")
+    assert cli.main(["features", str(sim_dir / "trace.csv"), "--outdir",
+                     str(tmp_path), "--out", "nodir/f.json"]) == 2
+    path = tmp_path / "nodir" / "f.json"
+    assert_one_error(capsys, "FormatError", "io",
+                     f"cannot write {path}: [Errno 2] No such file or "
+                     f"directory: '{path}'")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_outdir_under_a_file_exits_2(capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    outdir = tmp_path / "file" / "out"
+    assert cli.main(["simulate", "--outdir", str(outdir)]) == 2
+    assert_one_error(capsys, "FormatError", "io",
+                     f"cannot write {outdir}: [Errno 20] Not a directory: "
+                     f"'{outdir}'")
 
 
 def test_unknown_trace_column_rejected(workdir):
