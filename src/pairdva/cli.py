@@ -14,6 +14,7 @@ the CLI adds a unit suffix, and nested config objects are flattened.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -203,7 +204,10 @@ def _add_keys(parser, keys):
         parser.add_argument(flag, dest=key, type=caster, metavar=key.upper())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; each parse gives a fresh namespace, and a
+    flag left out sets nothing on it (see resolve_config)."""
     parser = argparse.ArgumentParser(
         prog="pairdva",
         description="Simulate parallel cell-pair discharges and diagnose "
@@ -252,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PairDvaError as err:

@@ -53,10 +53,6 @@ class SurrogateFit:
     scaled_gradient: float = 0.0
     n_iter: int = 0
 
-    @property
-    def theta(self):
-        return np.array([self.a, self.b, self.c, self.d, self.e, self.f])
-
 
 @dataclass
 class PeakFeatures:

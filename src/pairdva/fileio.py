@@ -377,6 +377,33 @@ _JSON_TYPES = {"number": (int, float), "integer": (int,), "bool": (bool,),
                "object": (dict,)}
 
 
+def _checked(path, key, value, kind):
+    """value, the field key of the features file at path holds (the
+    document, with key None), once it is a JSON kind (a pair: a list of
+    two numbers) and, as a number, finite."""
+    what = "the document" if key is None else f"field {key}"
+    if kind == "pair":
+        if type(value) is not list or len(value) != 2:
+            raise FormatError(f"features file {path}: {what} holds "
+                              f"{_echo(value)}, not a list of two "
+                              f"JSON numbers")
+        return tuple(_checked(path, f"{key}[{k}]", v, "number")
+                     for k, v in enumerate(value))
+    if type(value) not in _JSON_TYPES[kind]:
+        raise FormatError(f"features file {path}: {what} holds "
+                          f"{_echo(value)}, not a JSON {kind}")
+    if kind != "number":
+        return value
+    try:
+        value = float(value)
+    except OverflowError:           # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise FormatError(f"features file {path}: {what} holds the "
+                          f"non-finite value {value:g}")
+    return value
+
+
 def read_features_json(path) -> PeakFeatures:
     """The features a JSON document at path holds: an object with the keys
     of FEATURES_KEYS, whose "fit" is an object."""
@@ -388,41 +415,16 @@ def read_features_json(path) -> PeakFeatures:
             raise FormatError(
                 f"cannot parse features file {path}: {err}") from err
 
-    def checked(key, value, kind):
-        """value, the field key holds (the document, with key None), once
-        it is a JSON kind (a pair: a list of two numbers) and, as a number,
-        finite."""
-        what = "the document" if key is None else f"field {key}"
-        if kind == "pair":
-            if type(value) is not list or len(value) != 2:
-                raise FormatError(f"features file {path}: {what} holds "
-                                  f"{_echo(value)}, not a list of two "
-                                  f"JSON numbers")
-            return tuple(checked(f"{key}[{k}]", v, "number")
-                         for k, v in enumerate(value))
-        if type(value) not in _JSON_TYPES[kind]:
-            raise FormatError(f"features file {path}: {what} holds "
-                              f"{_echo(value)}, not a JSON {kind}")
-        if kind != "number":
-            return value
-        try:
-            value = float(value)
-        except OverflowError:           # an integer past the float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise FormatError(f"features file {path}: {what} holds the "
-                              f"non-finite value {value:g}")
-        return value
-
     try:
-        doc = checked(None, doc, "object")
-        fit = checked("fit", doc["fit"], "object")
+        doc = _checked(path, None, doc, "object")
+        fit = _checked(path, "fit", doc["fit"], "object")
         fields = {"": {}, "fit": {}}
         for key, (field, kind) in FEATURES_KEYS.items():
             group, _, name = key.rpartition(".")
             obj = fit if group else doc
             if key not in _FIT_DIAGNOSTICS or name in obj:
-                fields[group][field] = checked(key, obj[name], kind)
+                fields[group][field] = _checked(path, key, obj[name],
+                                                kind)
         return PeakFeatures(**fields[""], fit=SurrogateFit(**fields["fit"]))
     except KeyError as err:
         raise FormatError(

@@ -241,17 +241,21 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         return inc + dk_di1 * ds
 
     def record(x, nxt, i, v):
-        """Copy samples start.. of states x with successors nxt; the index
-        of the first one that ends the run, and its reason, or None."""
+        """Write samples start.. of states x with successors nxt into the
+        buffers; the index of the first one that ends the run, and its
+        reason, or None."""
         nonlocal watch, stop_at, last
-        kept.append((x.copy(), i.copy(), v.copy()))
+        end = start + len(v)
+        zs[:, start:end] = x
+        cs[:, start:end] = i
+        vs[start:end] = v
         if watch:
             k = _first(v < v_lo, None)
             if k is not None:   # samples past stop_at are not solved for
                 watch = False
                 stop_at = max(start + k + steps_past, steps_min)
                 last = min(last, stop_at + 1)
-        index = np.arange(start, start + len(v))
+        index = np.arange(start, end)
         ends = (v <= v_cutoff, x.min(0) <= soc_floor, index * dt >= t_max,
                 ~((nxt >= -1e-9) & (nxt <= 1.0 + 1e-9)).all(0),
                 index >= stop_at)
@@ -276,9 +280,11 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     if watch:
         v_lo, steps_past, steps_min = past
 
-    # copies of the recorded samples, joined at the end: the memory follows
-    # the run's length, not n_max, and a window's other states are freed
-    kept = []
+    # the samples go into one buffer per column, sized by the step bound
+    # with a margin of two, not by n_max: the run ends by sample last, and
+    # until then a window reaches no further
+    cap = min(last + 2, n_max)
+    zs, cs, vs = np.empty((2, cap)), np.empty((2, cap)), np.empty(cap)
     start = 0
     diffs = np.empty(WINDOW)        # newton's S_{k+1} - S_k
     # trial states of a window may overflow, and the running product g
@@ -297,9 +303,8 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
             start += keep
             if stop or start == n_max:
                 n, reason = (stop[0] + 1, stop[1]) if stop else (n_max, 0)
-                z, i, vt = (np.concatenate(part, axis=-1)[..., :n]
-                            for part in zip(*kept))
-                return z[0], z[1], i[0], i[1], vt, n, reason
+                return (zs[0, :n], zs[1, :n], cs[0, :n], cs[1, :n], vs[:n],
+                        n, reason)
             fix = newton(inc[:, keep:cut], du[:, keep:cut],
                          defect[:, keep - 1:cut - 1])
             x = window(nxt[:, keep - 1],

@@ -388,6 +388,27 @@ def test_output_in_a_missing_directory_exits_2(capsys, tmp_path, sim_dir):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_one_parser_carries_no_setting_between_calls(capsys, tmp_path,
+                                                     sim_dir):
+    assert cli.build_parser() is cli.build_parser()
+    trace = sim_dir / "trace.csv"
+    assert cli.main(["features", str(trace), "--dq-ah", "0.1",
+                     "--out", "a.json", "--outdir", str(tmp_path)]) == 0
+    out, _ = capsys.readouterr()
+    assert out.split() == [str(tmp_path / "a.json"),
+                           str(tmp_path / "a.config.json")]
+    side = json.loads((tmp_path / "a.config.json").read_text())
+    assert side["run_config"]["dq_ah"] == 0.1
+    # the second call names neither: stdout and the default dq_ah
+    assert cli.main(["features", str(trace)]) == 0
+    out, err = capsys.readouterr()
+    feats = pairdva.extract_features(fileio.read_trace_csv(trace))
+    assert (out, err) == (fileio.dumps_json(fileio.features_dict(feats)), "")
+    assert out != (tmp_path / "a.json").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.config.json",
+                                                          "a.json"]
+
+
 def test_outdir_under_a_file_exits_2(capsys, tmp_path):
     (tmp_path / "file").write_text("")
     outdir = tmp_path / "file" / "out"

@@ -1,5 +1,6 @@
 """Pair construction, current split, and the CC discharge integrator."""
 
+import inspect
 import tracemalloc
 import warnings
 from unittest import mock
@@ -271,6 +272,24 @@ def test_kernel_sample_count_matches_arrays_at_n_max():
     assert all(len(col) == 5 for col in out[:5])
 
 
+def test_simulate_peaks_at_the_trace_it_returns():
+    # the kernel writes its samples into one buffer per column and the
+    # trace keeps them; the peak over what the trace holds was ~306 KiB at
+    # dt = 0.1 while per-pass copies were joined at the end, ~1 KiB after
+    tracemalloc.start()
+    try:
+        tr = simulate_cc_discharge(make_pair(0.7, 1.6), SimConfig(dt=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = [v for v in vars(tr).values() if isinstance(v, np.ndarray)]
+    owners = {id(a): a for a in (c if c.base is None else c.base
+                                 for c in columns)}
+    held = sum(a.nbytes for a in owners.values())
+    assert len(tr) == 105_790
+    assert peak - held < 64 * 1024
+
+
 @pytest.mark.parametrize("step", [2.0 ** -52, 2.0 ** -53, -2.0 ** -60, 0.0])
 def test_step_bound_of_a_step_below_rounding_is_n_max(step):
     # a step no larger than 2**-52 may not move the sum at all
@@ -356,12 +375,36 @@ def _pair_rk4_loop(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     return z1[:n], z2[:n], i1[:n], i2[:n], vt[:n], n, reason
 
 
+_PAIR_RK4 = kernels.pair_rk4
+
+
+def _rk4_in_buffers(*args, **kwargs):
+    """kernels.pair_rk4, checking that the run fits the buffers it
+    allocates before it starts: C1 z1 + C2 z2 moves linearly, so the run
+    ends within the steps its mean SOC takes to the floor (to 1 + 1e-9
+    when charging), and the buffers hold that bound plus two, at most
+    n_max."""
+    out = _PAIR_RK4(*args, **kwargs)
+    call = inspect.signature(_PAIR_RK4).bind(*args, **kwargs).arguments
+    c = call["c1_as"] + call["c2_as"]
+    mean_0 = (call["c1_as"] * call["z1_0"] + call["c2_as"] * call["z2_0"]) / c
+    bound = call["soc_floor"] if call["i_total"] < 0.0 else 1.0 + 1e-9
+    last = kernels.step_bound(bound - mean_0, call["dt"] * call["i_total"] / c,
+                              call["n_max"])
+    assert out[5] <= last
+    assert all(col.base.shape[-1] == min(last + 2, call["n_max"])
+               for col in out[:5])
+    return out
+
+
 def assert_solve_matches_loop(monkeypatch, alpha, beta, cfg):
     pair = make_pair(alpha, beta)
     with monkeypatch.context() as patched:
         patched.setattr(kernels, "pair_rk4", _pair_rk4_loop)
         want = simulate_cc_discharge(pair, cfg)
-    got = simulate_cc_discharge(pair, cfg)
+    with monkeypatch.context() as patched:
+        patched.setattr(kernels, "pair_rk4", _rk4_in_buffers)
+        got = simulate_cc_discharge(pair, cfg)
     # the same trajectory bit for bit, not within a tolerance
     assert (len(got), got.reason) == (len(want), want.reason)
     for name in ("z1", "z2", "i1", "i2", "v_t"):
@@ -436,7 +479,7 @@ def test_sliding_window_matches_loop(alpha, beta, c_rate, dt, z0, t_max,
             -c_rate * (c1.capacity_ah + c2.capacity_ah), dt,
             int(t_max / dt) + 2, 3.0, 0.02, t_max)
     with mock.patch.object(kernels, "WINDOW", window):
-        got = kernels.pair_rk4(*args)
+        got = _rk4_in_buffers(*args)
     want = _pair_rk4_loop(*args)
     # states, currents and voltage bit for bit, then n and the reason
     assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
@@ -473,7 +516,7 @@ def test_tied_stops_take_the_loops_order(first, tie, reasons):
     args.update(tie(out))
     want = _pair_rk4_loop(**args)
     assert want[5:] == (out[5], reasons[0])
-    got = kernels.pair_rk4(**args)
+    got = _rk4_in_buffers(**args)
     assert got[5:] == want[5:]
     assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
 
@@ -495,7 +538,7 @@ def test_past_window_stop_cuts_the_full_run(past, cutoff_tie):
     if cutoff_tie:
         args["v_cutoff"] = full[4][last]
         reason = 1
-    got = kernels.pair_rk4(**args, past=past)
+    got = _rk4_in_buffers(**args, past=past)
     want = _pair_rk4_loop(**args, past=past)
     assert got[5:] == want[5:] == (last + 1, reason)
     assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
