@@ -124,14 +124,10 @@ def ocv_and_slope(z):
 # i1 = (delta + r2 i) / (r1 + r2) and i2 = (-delta + r1 i) / (r1 + r2),
 # delta = ocv(z2) - ocv(z1), so i1 + i2 == i and both cells see one
 # terminal voltage v_t = ocv(z_k) + r_k i_k. The recorded pre-step sample
-# doubles as stage k1. Termination is checked on the recorded sample in
-# the order: cutoff voltage, SOC floor, time limit (reasons 1/2/3).
-# Reason 4 flags an SOC excursion beyond [-1e-9, 1 + 1e-9] after a step
-# and is turned into an error by the caller. Given past = (v_lo,
-# steps_past, steps_min), a discharge also ends (reason 5, last in the
-# order) at the sample steps_past steps after the first sample with
-# v_t < v_lo, or at sample steps_min if that comes later; a caller that
-# reads the trace only that far past v_lo stops it there.
+# doubles as stage k1. A run ends at its first sample with an end code
+# (end_codes). Given past = (v_lo, steps_past, steps_min), a discharge's
+# past-window stop is steps_past samples after the first with v_t < v_lo,
+# or sample steps_min if later, for a caller that reads no further.
 #
 # The recursion x_{k+1} = Phi(x_k) is solved by Newton's method on a window
 # of steps that slides along the run. Each iteration takes the RK4 step
@@ -157,6 +153,19 @@ def ocv_and_slope(z):
 # the features downstream react to a last-digit change of one trace sample.
 
 WINDOW = 512         # width of the window; ~0.6 kB of work per step
+SOC_SLACK = 1e-9     # how far past [0, 1] a step may take an SOC
+# what ends a run, in the order a sample is checked; an excursion is the
+# step out of it taking an SOC past SOC_SLACK, an error for the caller
+END_REASONS = ("v_cutoff", "soc_floor", "t_max", "excursion", "past_window")
+
+
+def end_codes(**ends):
+    """Each column's end code: 1 plus the END_REASONS index of the first of
+    the boolean rows ends, named by reason, that holds there, else 0."""
+    codes = 0
+    for code, reason in reversed(tuple(enumerate(END_REASONS, 1))):
+        codes = np.where(ends.get(reason, False), code, codes)
+    return codes
 
 
 def step_bound(distance, step, n_max):
@@ -241,9 +250,8 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         return inc + dk_di1 * ds
 
     def record(x, nxt, i, v):
-        """Write samples start.. of states x with successors nxt into the
-        buffers; the index of the first one that ends the run, and its
-        reason, or None."""
+        """Write samples start.. of states x, stepping to nxt, into the
+        buffers; the samples through the first end, and its code or 0."""
         nonlocal watch, stop_at, last
         end = start + len(v)
         zs[:, start:end] = x
@@ -256,22 +264,20 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
                 stop_at = max(start + k + steps_past, steps_min)
                 last = min(last, stop_at + 1)
         index = np.arange(start, end)
-        ends = (v <= v_cutoff, x.min(0) <= soc_floor, index * dt >= t_max,
-                ~((nxt >= -1e-9) & (nxt <= 1.0 + 1e-9)).all(0),
-                index >= stop_at)
-        k = _first(ends[0] | ends[1] | ends[2] | ends[3] | ends[4], None)
-        if k is None:
-            return None
-        # the reason is the first end, in the loop's order, at that sample
-        return start + k, next(code for code, end in enumerate(ends, 1)
-                               if end[k])
+        codes = end_codes(
+            v_cutoff=v <= v_cutoff, soc_floor=x.min(0) <= soc_floor,
+            t_max=index * dt >= t_max, past_window=index >= stop_at,
+            excursion=~((nxt >= -SOC_SLACK)
+                        & (nxt <= 1.0 + SOC_SLACK)).all(0))
+        k = _first(codes > 0, len(v) - 1)
+        return start + k + 1, int(codes[k])
 
     # RK4 keeps C1 z1 + C2 z2 linear in time, and the pair stops by the
-    # step where this mean crosses the SOC floor (or 1 + 1e-9 when
+    # step where this mean crosses the SOC floor (or 1 + SOC_SLACK when
     # charging); windows end at most two steps past it
     mean_0 = (c1_as * z1_0 + c2_as * z2_0) / (c1_as + c2_as)
     mean_step = dt * i_total / (c1_as + c2_as)
-    bound = soc_floor if i_total < 0.0 else 1.0 + 1e-9
+    bound = soc_floor if i_total < 0.0 else 1.0 + SOC_SLACK
     last = step_bound(bound - mean_0, mean_step, n_max)
     # the sample of reason 5, set once the first sample below v_lo is
     # recorded; no sample reaches n_max
@@ -299,12 +305,12 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
             m = defect.shape[1]
             cut = _first(~np.isfinite(defect).all(0), m)
             keep = min(m, 1 + _first((defect != 0.0).any(0), m))
-            stop = record(x[:, :keep], nxt[:, :keep], i[:, :keep], v[:keep])
+            n, code = record(x[:, :keep], nxt[:, :keep], i[:, :keep],
+                             v[:keep])
             start += keep
-            if stop or start == n_max:
-                n, reason = (stop[0] + 1, stop[1]) if stop else (n_max, 0)
+            if code or start == n_max:
                 return (zs[0, :n], zs[1, :n], cs[0, :n], cs[1, :n], vs[:n],
-                        n, reason)
+                        n, code)
             fix = newton(inc[:, keep:cut], du[:, keep:cut],
                          defect[:, keep - 1:cut - 1])
             x = window(nxt[:, keep - 1],

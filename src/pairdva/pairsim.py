@@ -16,8 +16,8 @@ from . import kernels
 from .errors import ConfigError, IntegrationError
 
 SECONDS_PER_HOUR = 3600.0
-
-_REASONS = {1: "v_cutoff", 2: "soc_floor", 3: "t_max", 5: "past_window"}
+# the most steps a run may take: 800 MB of a pair's trace columns
+_MAX_STEPS = 10 ** 7
 
 
 def _require_positive(**values):
@@ -141,33 +141,59 @@ def _n_max(config: SimConfig) -> int:
 
 
 def _reason(code) -> str:
-    """Name of a termination code; an SOC excursion (code 4) raises."""
-    if code == 4:
+    """Name of an end code (kernels.end_codes); an SOC excursion raises."""
+    reason = kernels.END_REASONS[code - 1] if code else "n_max"
+    if reason == "excursion":
         raise IntegrationError(
             "SOC left [-1e-9, 1+1e-9] during integration; reduce dt")
-    return _REASONS.get(int(code), "n_max")
+    return reason
 
 
 def _discharge_current(config: SimConfig, capacity_ah: float) -> float:
-    """-c_rate * capacity; ConfigError when it is zero or not finite."""
+    """-c_rate * capacity; ConfigError when it is zero or not finite, or
+    when the run may take more than _MAX_STEPS steps to its SOC floor or
+    time limit."""
     i_total = -config.c_rate * capacity_ah
     if i_total == 0.0:
         raise ConfigError("discharge current is zero")
     if not math.isfinite(i_total):
         raise ConfigError(f"discharge current {i_total:g} A is not finite")
+    steps = kernels.step_bound(
+        config.soc_floor - config.z0,
+        -config.c_rate * config.dt / SECONDS_PER_HOUR, _n_max(config))
+    if steps > _MAX_STEPS:
+        raise ConfigError(
+            f"a run at c_rate {config.c_rate:g}, dt_s {config.dt:g} and "
+            f"t_max_s {config.t_max:g} may take {steps:,} steps, more than "
+            f"{_MAX_STEPS:,}")
     return i_total
+
+
+def _trace(params, config, reason, i_total, v_t, cell1, cell2=None):
+    """The SimTrace of a run from each cell's (capacity_ah, z, i) columns;
+    without a cell2, the cell-2 columns are zeros."""
+    n = len(v_t)
+    (c1, z1, i1), (c2, z2, i2) = cell1, cell2 or (0.0, *np.zeros((2, n)))
+    # the i_total column last, after every scratch array is freed
+    reversal = bool(np.any(i1 > 0.0) or np.any(i2 > 0.0))
+    t = np.arange(n) * config.dt
+    return SimTrace(
+        t=t, i1=i1, i2=i2, z1=z1, z2=z2, v_t=v_t,
+        q_pair=np.abs(i_total) * t / SECONDS_PER_HOUR,
+        q1=c1 * (config.z0 - z1), q2=c2 * (config.z0 - z2),
+        i_total=np.full(n, i_total), reason=reason, params=params,
+        config=config, has_cell2=cell2 is not None, current_reversal=reversal)
 
 
 def simulate_cc_discharge(params: PairSpec, config: SimConfig = None, *,
                           past: tuple = None) -> SimTrace:
     """Integrate a constant-current discharge of the pair.
 
-    The discharge current is -c_rate * (C1 + C2). Terminates at the first
-    of: terminal voltage at/below v_cutoff, either SOC at/below soc_floor,
-    or t >= t_max; the reason is recorded on the trace. Given past =
-    (v_lo, past_ah, min_ah), it also ends, with reason "past_window", at
-    the first sample whose charge passes that of the first sample below
-    v_lo by past_ah and the start by min_ah, each plus one step's charge: a
+    The discharge current is -c_rate * (C1 + C2). It ends at the first
+    sample an end rule holds on (kernels.END_REASONS), the trace's reason.
+    Given past = (v_lo, past_ah, min_ah), it ends, as "past_window", at the
+    first sample whose charge passes that of the first sample below v_lo
+    by past_ah and the start by min_ah, each plus one step's charge: a
     uniform charge grid then reaches that far, as its samples are
     interpolated between the trace's.
     """
@@ -179,23 +205,14 @@ def simulate_cc_discharge(params: PairSpec, config: SimConfig = None, *,
         step_ah = config.dt * abs(i_total) / SECONDS_PER_HOUR
         past = (v_lo, math.ceil(past_ah / step_ah) + 1,
                 math.ceil(min_ah / step_ah) + 1)
-    z1, z2, i1, i2, vt, n, reason = kernels.pair_rk4(
+    z1, z2, i1, i2, vt, _, code = kernels.pair_rk4(
         config.z0, config.z0,
         c1.capacity_ah * SECONDS_PER_HOUR, c2.capacity_ah * SECONDS_PER_HOUR,
         c1.resistance_ohm, c2.resistance_ohm, i_total,
         config.dt, _n_max(config), config.v_cutoff, config.soc_floor,
         config.t_max, past)
-    reason = _reason(reason)
-    t = np.arange(n) * config.dt
-    q_pair = np.abs(i_total) * t / SECONDS_PER_HOUR
-    q1 = c1.capacity_ah * (config.z0 - z1)
-    q2 = c2.capacity_ah * (config.z0 - z2)
-    reversal = bool(np.any(i1 > 0.0) or np.any(i2 > 0.0))
-    return SimTrace(
-        t=t, i_total=np.full(n, i_total), i1=i1, i2=i2, z1=z1, z2=z2,
-        q_pair=q_pair, q1=q1, q2=q2, v_t=vt,
-        reason=reason, params=params, config=config, has_cell2=True,
-        current_reversal=reversal)
+    return _trace(params, config, _reason(code), i_total, vt,
+                  (c1.capacity_ah, z1, i1), (c2.capacity_ah, z2, i2))
 
 
 def single_cell_reference(capacity_ah: float, resistance_ohm: float,
@@ -212,30 +229,17 @@ def single_cell_reference(capacity_ah: float, resistance_ohm: float,
     # increment; accumulated in step order, SOC matches a stepping loop's
     k1 = i_total / (capacity_ah * SECONDS_PER_HOUR)
     inc = (config.dt / 6.0) * (k1 + 2.0 * k1 + 2.0 * k1 + k1)
+    # SOC only falls, so the run ends within two samples of the floor
     n = kernels.step_bound(config.soc_floor - config.z0, inc,
                            _n_max(config))
-    steps = np.full(n, inc)
+    steps = np.full(n + 1, inc)     # the samples and the step out of them
     steps[0] = config.z0
     z = np.add.accumulate(steps)
-    t = np.arange(len(z)) * config.dt
-    # SOC only falls, so no sample past the first one on the SOC floor or
-    # the time limit is recorded, nor its OCV evaluated
-    ends = np.flatnonzero((z <= config.soc_floor) | (t >= config.t_max))
-    n = ends[0] + 1 if ends.size else len(z)
-    z, t = z[:n], t[:n]
-    vt = kernels.ocv(z) + i_total * resistance_ohm
-    # codes in the loop's check order; an SOC excursion (falling below
-    # -1e-9) is caught on the step into a sample, before it is checked
-    codes = np.select([z < -1e-9, vt <= config.v_cutoff,
-                       z <= config.soc_floor, t >= config.t_max], [4, 1, 2, 3])
+    vt = kernels.ocv(z[:n]) + i_total * resistance_ohm
+    codes = kernels.end_codes(
+        v_cutoff=vt <= config.v_cutoff, soc_floor=z[:n] <= config.soc_floor,
+        t_max=np.arange(n) * config.dt >= config.t_max,
+        excursion=z[1:] < -kernels.SOC_SLACK)     # z only falls
     n = np.flatnonzero(codes).min(initial=n - 1) + 1
-    reason = _reason(codes[n - 1])
-    z, t, vt = z[:n], t[:n], vt[:n]
-    cur = np.full(n, i_total)
-    q = np.abs(i_total) * t / SECONDS_PER_HOUR
-    zeros = np.zeros(n)
-    return SimTrace(
-        t=t, i_total=cur, i1=cur.copy(), i2=zeros, z1=z, z2=zeros.copy(),
-        q_pair=q, q1=capacity_ah * (config.z0 - z), q2=zeros.copy(), v_t=vt,
-        reason=reason, params=cell, config=config,
-        has_cell2=False, current_reversal=bool(np.any(cur > 0.0)))
+    return _trace(cell, config, _reason(codes[n - 1]), i_total, vt[:n],
+                  (capacity_ah, z[:n], np.full(n, i_total)))

@@ -36,6 +36,12 @@ class SmoothingConfig:
         """Grid samples a curve needs: twice the filter window."""
         return 2 * self.sg_window
 
+    @property
+    def reach_ah(self) -> float:
+        """Charge past its run that a windowed curve reads: a smoothing
+        half window and one central difference."""
+        return (self.sg_window // 2 + 1) * self.dq_ah
+
 
 @dataclass
 class DvDqCurve:

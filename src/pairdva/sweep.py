@@ -149,14 +149,10 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
     sim_config = sim_config if sim_config is not None else SimConfig()
     analysis = analysis if analysis is not None else AnalysisConfig()
 
-    # the features read a discharge only up to a smoothing half-window and
-    # one central difference past the window's low edge, and need
-    # smoothing.min_samples grid samples in all, so each cell's run stops
-    # there
-    smoothing = analysis.smoothing
-    reach = smoothing.sg_window // 2 + 1
-    past = (analysis.v_lo, reach * smoothing.dq_ah,
-            smoothing.min_samples * smoothing.dq_ah)
+    # each cell's run stops where its features stop reading: the smoother's
+    # reach past the window's low edge, and no sooner than min_samples
+    sm = analysis.smoothing
+    past = (analysis.v_lo, sm.reach_ah, sm.min_samples * sm.dq_ah)
 
     def one(pair):
         try:

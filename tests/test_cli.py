@@ -305,6 +305,21 @@ def test_overflowing_current_exits_with_config_error(workdir):
     assert not (workdir / "overflow").exists()
 
 
+def test_run_past_the_step_limit_exits_with_config_error(workdir):
+    # about 1e15 steps to the time limit: the run is refused before any
+    # buffer is sized by it
+    proc = run_cli(["simulate", "--c-rate", "1e-12", "--t-max-s", "1e15",
+                    "--outdir", "step_limit"], cwd=workdir)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    doc = stderr_json(proc)
+    assert (doc["error"], doc["stage"]) == ("ConfigError", "config")
+    assert doc["message"] == (
+        "a run at c_rate 1e-12, dt_s 1 and t_max_s 1e+15 may take "
+        "1,000,000,000,000,002 steps, more than 10,000,000")
+    assert not (workdir / "step_limit").exists()
+
+
 @pytest.mark.parametrize("flags,field", [
     (["--alpha-steps", "-1"], "alpha_steps"),
     (["--bin-width", "0"], "bin_width"), (["--bin-width", "inf"], "bin_width"),

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pairdva import (CellParams, ConfigError, IntegrationError, PairSpec,
                      SimConfig, make_pair, ocv, simulate_cc_discharge,
                      single_cell_reference)
-from pairdva import kernels
+from pairdva import kernels, pairsim
 
 
 def consistency_residuals(tr):
@@ -240,6 +240,28 @@ def test_underflowing_current_rejected(run):
                        match="^discharge current is zero$") as err:
         run(SimConfig(c_rate=1e-300), 1e-300)
     assert err.value.stage == "config"
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: simulate_cc_discharge(make_pair(1.0, 1.0), cfg),
+    lambda cfg: single_cell_reference(120.0, 0.001, cfg)],
+    ids=["pair", "single_cell"])
+def test_run_past_the_step_limit_rejected(monkeypatch, run):
+    # the time limit allows about 1e15 steps at a tiny SOC step; each
+    # integrator would ask for petabytes of samples
+    cfg = SimConfig(c_rate=1e-12, t_max=1e15)
+    with pytest.raises(ConfigError, match=(
+            r"^a run at c_rate 1e-12, dt_s 1 and t_max_s 1e\+15 may take "
+            r"1,000,000,000,000,002 steps, more than 10,000,000$")) as err:
+        run(cfg)
+    assert err.value.stage == "config"
+    # the limit applies to the step bound: here the time limit's 102 steps
+    cfg = SimConfig(t_max=100.0)
+    monkeypatch.setattr(pairsim, "_MAX_STEPS", 102)
+    assert len(run(cfg)) == 101
+    monkeypatch.setattr(pairsim, "_MAX_STEPS", 101)
+    with pytest.raises(ConfigError, match=" 102 steps, more than 101$"):
+        run(cfg)
 
 
 @pytest.mark.parametrize("t_max", [1e9, 1e300])
@@ -668,6 +690,26 @@ def test_single_cell_termination_reasons():
     tr = single_cell_reference(120.0, 0.001, SimConfig(v_cutoff=3.5))
     assert (len(tr), tr.reason) == (8611, "v_cutoff")
     assert tr.v_t[-1] <= 3.5 < tr.v_t[-2]
+
+
+@pytest.mark.parametrize("first, tie, reason", [
+    ({"v_cutoff": 3.5}, lambda tr: {"t_max": tr.t[-1]}, "v_cutoff"),
+    ({}, lambda tr: {"t_max": tr.t[-1]}, "soc_floor"),
+    ({}, lambda tr: {"v_cutoff": tr.v_t[-1]}, "v_cutoff"),
+    # the step out of the last sample leaves the SOC range
+    ({"c_rate": 3.0, "dt": 700.0, "soc_floor": 0.0, "t_max": 350.0},
+     lambda tr: {"t_max": tr.t[-1]}, "t_max"),
+], ids=["v_cutoff+t_max", "soc_floor+t_max", "v_cutoff+soc_floor",
+        "t_max+excursion"])
+def test_single_cell_tied_stops_take_the_loops_order(first, tie, reason):
+    # a first run ends on one condition; a second run sets another one
+    # from its last sample, so both end the run on that same sample
+    tr = single_cell_reference(120.0, 0.001, SimConfig(**first))
+    cfg = SimConfig(**{**first, **tie(tr)})
+    z, vt, want = _single_cell_loop(120.0, 0.001, cfg)
+    got = single_cell_reference(120.0, 0.001, cfg)
+    assert (len(got), got.reason) == (len(z), want) == (len(tr), reason)
+    assert np.array_equal(got.z1, z)
 
 
 def test_single_cell_oversized_step_raises_integration_error():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairdva import (ConfigError, FeatureError, GridConfig, IdentifyError,
-                     PairDvaError, SimConfig, SmoothingConfig, SweepError,
-                     extract_features, fileio, identify_product, make_pair,
-                     product_curve, resample_uniform_q, run_sweep,
+from pairdva import (AnalysisConfig, ConfigError, FeatureError, GridConfig,
+                     IdentifyError, PairDvaError, SimConfig, SmoothingConfig,
+                     SweepError, extract_features, fileio, identify_product,
+                     make_pair, product_curve, resample_uniform_q, run_sweep,
                      simulate_cc_discharge, sweep)
 
 
@@ -78,30 +78,37 @@ def _outcome(run):
 
 @settings(max_examples=10, derandomize=True, deadline=None, database=None)
 @given(alpha=st.floats(0.5, 1.0), beta=st.floats(1.0, 2.0),
-       c_rate=st.floats(0.2, 1.0))
-def test_stopped_cell_runs_give_the_full_runs_features(alpha, beta, c_rate):
+       c_rate=st.floats(0.2, 1.0),
+       sg_window=st.integers(4, 50).map(lambda k: 2 * k + 1),
+       dq_ah=st.floats(0.01, 0.2), v_lo=st.floats(3.7, 3.76))
+def test_stopped_cell_runs_give_the_full_runs_features(alpha, beta, c_rate,
+                                                       sg_window, dq_ah,
+                                                       v_lo):
     # a sweep cell's discharge stops just past the voltage window; its
     # features, or its error, are those of the whole discharge
     cfg = SimConfig(c_rate=c_rate)
+    analysis = AnalysisConfig(
+        smoothing=SmoothingConfig(dq_ah=dq_ah, sg_window=sg_window),
+        v_lo=v_lo)
     runs = []
     discharge = sweep.simulate_cc_discharge
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(sweep, "simulate_cc_discharge",
                         lambda *args, **kw: runs.append(discharge(*args, **kw))
                         or runs[-1])
-        cell, = run_sweep([alpha], [beta], sim_config=cfg).cells
+        cell, = run_sweep([alpha], [beta], sim_config=cfg,
+                          analysis=analysis).cells
     full = simulate_cc_discharge(make_pair(alpha, beta), cfg)
     stopped, = runs
     assert stopped.reason == "past_window" and len(stopped) < len(full)
     # the stopped run's charge grid holds a smoothing half-window and one
     # central difference past the window's last sample
-    sm = SmoothingConfig()
-    _, v = resample_uniform_q(stopped, sm.dq_ah)
-    inside = np.flatnonzero((v >= 3.7) & (v <= 3.9))
-    assert len(v) >= inside[-1] + 1 + sm.sg_window // 2 + 1
+    _, v = resample_uniform_q(stopped, dq_ah)
+    inside = np.flatnonzero((v >= v_lo) & (v <= analysis.v_hi))
+    assert len(v) >= inside[-1] + 1 + sg_window // 2 + 1
     got = cell.features if cell.ok else (cell.status, cell.stage,
                                          cell.message)
-    assert got == _outcome(lambda: extract_features(full))
+    assert got == _outcome(lambda: extract_features(full, analysis))
 
 
 @pytest.mark.parametrize("z0", [0.504, 0.514])
