@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FeatureError, FitWarning, SpanError
+from .pairsim import _require_positive
 from .signal import (SmoothingConfig, VOLTAGE_WINDOW, dvdq_curve,
                      peak_height, savgol_smooth)
 
@@ -36,6 +37,13 @@ class AnalysisConfig:
     v_hi: float = VOLTAGE_WINDOW[1]
     density_floor: float = DENSITY_FLOOR
     fit_tol: float = FIT_TOL
+
+    def __post_init__(self):
+        if not (-math.inf < self.v_lo < self.v_hi < math.inf):
+            raise ConfigError("v_lo and v_hi must be finite, with v_lo < v_hi")
+        if not (0.0 <= self.density_floor < math.inf):
+            raise ConfigError("density_floor must be >= 0 and finite")
+        _require_positive(fit_tol=self.fit_tol)
 
 
 @dataclass

@@ -7,6 +7,7 @@ instead of one Python step at a time, to the bits of the step-by-step loop.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,30 +21,39 @@ def backend():
 # fits over cell SOC z. The exponential in u_pos is ~e^-97 at z=1 and decays
 # the full-cell curve near z=0; the six tanh steps in u_neg are the graphite
 # staging transitions that produce the dV/dQ peaks.
+@dataclass(frozen=True)
+class Ocv:
+    """The potentials' written constants and the read-only rows derived
+    from them. The potentials read OCV at each call: replace it whole."""
 
-POS_POLY = (3.6674, -0.0225, 0.5619, 0.6329, -0.1957, 0.1016)  # z^0..z^5
-POS_EXP = (0.5623, 95.102, 97.036)          # amplitude, rate, offset
-NEG_BASE = 0.063
-NEG_EXP = (0.8, 75.0, 0.83, 0.007)          # amplitude, rate, slope, offset
-# (height, centre, width) of each tanh step
-NEG_STEPS = ((0.012, 0.15, 0.019), (0.012, 0.19, 0.019),
-             (0.004, 0.27, 0.024), (0.009, 0.23, 0.016),
-             (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066))
+    pos_poly: tuple = (3.6674, -0.0225, 0.5619, 0.6329, -0.1957, 0.1016)
+    pos_exp: tuple = (0.5623, 95.102, 97.036)       # amplitude, rate, offset
+    neg_base: float = 0.063
+    neg_exp: tuple = (0.8, 75.0, 0.83, 0.007)  # amplitude, rate, slope, offset
+    # (height, centre, width) of each tanh step
+    neg_steps: tuple = ((0.012, 0.15, 0.019), (0.012, 0.19, 0.019),
+                        (0.004, 0.27, 0.024), (0.009, 0.23, 0.016),
+                        (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066))
+
+    def __post_init__(self):
+        # Each potential folds its weighted rows by np.subtract.reduce from
+        # a scalar start, in their written order (numpy adds with pairwise
+        # sums; a - (-b) is a + b to the bit): u_pos = p0 - pos_coef . (z,
+        # z^2..z^n, e) for pos_poly over z^0..z^n, du_pos/dz = p1 -
+        # pos_slope . (z..z^(n-1)) + pa pk e, u_neg = neg_base - neg_coef .
+        # (e, tanh_1..tanh_k).
+        powers = np.arange(2.0, len(self.pos_poly))
+        heights, centres, widths = np.array(self.neg_steps).T
+        for name, row in dict(
+                pos_powers=powers, pos_slope=-powers * self.pos_poly[2:],
+                pos_coef=-np.append(self.pos_poly[1:], -self.pos_exp[0]),
+                neg_coef=np.append(-self.neg_exp[0], heights),
+                neg_m=centres, neg_w=widths, neg_hw=heights / widths).items():
+            row.flags.writeable = False
+            object.__setattr__(self, name, row)
 
 
-# Each potential is a sum kept in its written order: its terms are stacked
-# on a leading axis, weighted, and folded by np.subtract.reduce from a
-# scalar start, one term after another (numpy adds with pairwise sums);
-# a - (-b) is a + b to the bit.
-_POS_POWERS = np.array([2.0, 3.0, 4.0, 5.0])
-# u_pos = p0 minus these times the rows z, z^2..z^5, e
-_POS_COEF = np.array([-p for p in POS_POLY[1:]] + [POS_EXP[0]])
-# du_pos/dz = p1 minus these times the rows z..z^4, plus pa pk e
-_POS_SLOPE = np.array([-k * p for k, p in enumerate(POS_POLY[2:], 2)])
-# u_neg = NEG_BASE minus these times the rows e, tanh_1..tanh_6
-_NEG_COEF = np.array([-NEG_EXP[0]] + [h for h, _, _ in NEG_STEPS])
-_NEG_M, _NEG_W = np.array([(m, w) for _, m, w in NEG_STEPS]).T
-_NEG_HW = np.array([h / w for h, _, w in NEG_STEPS])
+OCV = Ocv()    # a study sets kernels.OCV = dataclasses.replace(OCV, ...)
 
 
 def _rows(values, z):
@@ -52,48 +62,48 @@ def _rows(values, z):
 
 
 def _pos_terms(z):
-    """The rows z, z^2..z^5 and the exponential of u_pos over z's shape."""
+    """The rows z, z^2..z^n and the exponential of u_pos over z's shape."""
     # np.float_power is the C library's pow, which z**k on a float or a
     # numpy scalar also calls, so the formulas give the same bits on floats
     # and on arrays; numpy's array ** rounds differently in about 5% of cases
-    _, pk, pb = POS_EXP
-    t = np.empty((6,) + getattr(z, "shape", ()))
+    _, pk, pb = OCV.pos_exp
+    t = np.empty((len(OCV.pos_coef),) + getattr(z, "shape", ()))
     t[0] = z
-    np.float_power(z, _rows(_POS_POWERS, z), out=t[1:5])
-    np.exp(pk * (1.0 - z) - pb, out=t[5, ...])
+    np.float_power(z, _rows(OCV.pos_powers, z), out=t[1:-1])
+    np.exp(pk * (1.0 - z) - pb, out=t[-1, ...])
     return t
 
 
 def _neg_terms(z):
-    """The rows e and tanh_1..tanh_6 of u_neg over z's shape."""
-    _, nk, ns, nb = NEG_EXP
-    t = np.empty((7,) + getattr(z, "shape", ()))
+    """The rows e and tanh_1..tanh_k of u_neg over z's shape."""
+    _, nk, ns, nb = OCV.neg_exp
+    t = np.empty((len(OCV.neg_coef),) + getattr(z, "shape", ()))
     np.exp(-nk * (ns * z + nb), out=t[0, ...])
-    np.tanh((z - _rows(_NEG_M, z)) / _rows(_NEG_W, z), out=t[1:])
+    np.tanh((z - _rows(OCV.neg_m, z)) / _rows(OCV.neg_w, z), out=t[1:])
     return t
 
 
 def _pos(terms):
-    return np.subtract.reduce(_rows(_POS_COEF, terms[0]) * terms, axis=0,
-                              initial=POS_POLY[0])
+    return np.subtract.reduce(_rows(OCV.pos_coef, terms[0]) * terms, axis=0,
+                              initial=OCV.pos_poly[0])
 
 
 def _neg(terms):
-    return np.subtract.reduce(_rows(_NEG_COEF, terms[0]) * terms, axis=0,
-                              initial=NEG_BASE)
+    return np.subtract.reduce(_rows(OCV.neg_coef, terms[0]) * terms, axis=0,
+                              initial=OCV.neg_base)
 
 
 def _slope(z, pos_terms, neg_terms):
     """d(u_pos - u_neg)/dz from the terms the potentials share."""
-    pa, pk, _ = POS_EXP
-    na, nk, ns, _ = NEG_EXP
-    dpos = (np.subtract.reduce(_rows(_POS_SLOPE, z) * pos_terms[:4], axis=0,
-                               initial=POS_POLY[1])
-            + pa * pk * pos_terms[5])
+    pa, pk, _ = OCV.pos_exp
+    na, nk, ns, _ = OCV.neg_exp
+    dpos = (np.subtract.reduce(_rows(OCV.pos_slope, z) * pos_terms[:-2],
+                               axis=0, initial=OCV.pos_poly[1])
+            + pa * pk * pos_terms[-1])
     # sech^2 written as 1 - tanh^2 so large arguments cannot overflow
     e, tanhs = neg_terms[0], neg_terms[1:]
     dneg = np.subtract.reduce(np.concatenate((
-        [-na * nk * ns * e], _rows(_NEG_HW, z) * (1.0 - tanhs * tanhs))))
+        [-na * nk * ns * e], _rows(OCV.neg_hw, z) * (1.0 - tanhs * tanhs))))
     return dpos - dneg
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, IdentifyError, PairDvaError, SweepError
 from .features import AnalysisConfig, PeakFeatures, extract_features
-from .pairsim import (PairSpec, SimConfig, _require_positive, make_pair,
-                      simulate_cc_discharge)
+from .pairsim import (PairSpec, SimConfig, _discharge_current,
+                      _require_positive, make_pair, simulate_cc_discharge)
 from .signal import SmoothingConfig
 
 
@@ -133,8 +133,9 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
 
     Grids left out are the GridConfig defaults. Cells come out row-major
     over (alpha, beta). Per-cell failures are recorded in the cell status,
-    not raised; a ratio or nameplate that PairSpec rejects raises its
-    ConfigError before any cell runs.
+    not raised; a ratio or nameplate that PairSpec rejects, and a discharge
+    that simulate_cc_discharge refuses, raise their ConfigError before any
+    cell runs.
     """
     grid = GridConfig()
     alpha_grid = np.asarray(
@@ -147,6 +148,7 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
     pairs = [make_pair(float(a), float(b), c_total, r_parallel)
              for a in alpha_grid for b in beta_grid]
     sim_config = sim_config if sim_config is not None else SimConfig()
+    _discharge_current(sim_config, c_total)
     analysis = analysis if analysis is not None else AnalysisConfig()
 
     # each cell's run stops where its features stop reading: the smoother's

@@ -339,6 +339,39 @@ def test_bad_grid_rejected_before_the_sweep(monkeypatch, capsys, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--c-rate", "1e-12", "--t-max-s", "1e15"],
+     "a run at c_rate 1e-12, dt_s 1 and t_max_s 1e+15 may take"),
+    (["sweep", "--c-rate", "1e300", "--c-total-ah", "1e300", "--t-max-s",
+      "100"], "discharge current -inf A is not finite"),
+    (["sweep", "--v-lo", "3.9", "--v-hi", "3.7"], "v_lo and v_hi must"),
+    (["features", "TRACE", "--v-lo", "3.9", "--v-hi", "3.7"],
+     "v_lo and v_hi must"),
+    (["features", "TRACE", "--v-lo", "nan"], "v_lo and v_hi must"),
+    (["features", "TRACE", "--density-floor", "nan"], "density_floor must"),
+    (["features", "TRACE", "--fit-tol", "-1"], "fit_tol must")])
+def test_bad_setting_exits_2_before_any_sweep_cell(monkeypatch, capsys,
+                                                   tmp_path, sim_dir, argv,
+                                                   message):
+    # a discharge every sweep cell would refuse, and an analysis setting
+    # out of range, are refused once where the settings are built, not by
+    # each cell or by the pipeline stage that first trips on them
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the settings were checked")
+
+    monkeypatch.setattr(pairdva.sweep, "simulate_cc_discharge", no_cell)
+    out = tmp_path / "out"
+    argv = [str(sim_dir / "trace.csv") if a == "TRACE" else a for a in argv]
+    assert cli.main([*argv, "--outdir", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    line, = err.strip().splitlines()
+    doc = json.loads(line)
+    assert (doc["error"], doc["stage"]) == ("ConfigError", "config")
+    assert doc["message"].startswith(message)
+    assert not out.exists()
+
+
 def test_sweep_ignores_a_shared_configs_pair_ratios(workdir):
     # a config file shared with simulate may hold ratios that are out of
     # range for one pair; the sweep's grid takes their place

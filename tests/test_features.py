@@ -26,6 +26,22 @@ TRUE = dict(a=3.85, b=-0.002, c=1e-6, d=0.03, e=50.0, f=2.0)
 
 # --- fitting ------------------------------------------------------------------
 
+@pytest.mark.parametrize("kw, name", [
+    ({"v_lo": 3.9, "v_hi": 3.7}, "v_lo"), ({"v_lo": 3.8, "v_hi": 3.8}, "v_lo"),
+    ({"v_lo": np.nan}, "v_lo"), ({"v_hi": np.inf}, "v_lo"),
+    ({"density_floor": np.nan}, "density_floor"),
+    ({"density_floor": -0.001}, "density_floor"),
+    ({"density_floor": np.inf}, "density_floor"),
+    ({"fit_tol": -1.0}, "fit_tol"), ({"fit_tol": 0.0}, "fit_tol"),
+    ({"fit_tol": np.nan}, "fit_tol")])
+def test_analysis_config_validated(kw, name):
+    with pytest.raises(ConfigError, match=f"^{name} ") as err:
+        AnalysisConfig(**kw)
+    assert err.value.stage == "config"
+    # a zero floor keeps every sample of the density
+    assert AnalysisConfig(density_floor=0.0).density_floor == 0.0
+
+
 def test_exact_synthetic_recovery():
     q = np.linspace(40.0, 60.0, 400)
     v = surrogate(q, **TRUE)

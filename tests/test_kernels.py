@@ -1,12 +1,15 @@
 """Electrode potential curves: anchors, derivatives, monotonicity, bits."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pairdva import kernels
+from pairdva import (SimConfig, extract_features, kernels, make_pair,
+                     simulate_cc_discharge)
 from pairdva.kernels import docv_dz, ocv, u_neg, u_pos
+from test_pairsim import assert_solve_matches_loop
 
 
 def u_pos_reference(z):
@@ -84,7 +87,7 @@ def test_scalar_and_array_paths_agree():
 def test_ocv_and_slope_equals_ocv_and_docv_dz():
     # the integrator's shared-term evaluation must be the same arithmetic,
     # also on its (2, m) state arrays and on trial iterates outside [0, 1]
-    centres = [centre for _, centre, _ in kernels.NEG_STEPS]
+    centres = [centre for _, centre, _ in kernels.OCV.neg_steps]
     z = np.unique(np.concatenate([np.linspace(-0.5, 1.5, 20001), centres]))
     for zz in (z, np.stack((z, z[::-1]))):
         u, du = kernels.ocv_and_slope(zz)
@@ -109,3 +112,51 @@ def test_deterministic():
     z = np.linspace(0.0, 1.0, 501)
     assert np.array_equal(ocv(z), ocv(z))
     assert np.array_equal(docv_dz(z), docv_dz(z))
+
+
+def test_the_curve_is_one_frozen_value():
+    # the written constants are the fields of one value; the rows the
+    # formulas read are derived from them and cannot be written
+    assert kernels.OCV == kernels.Ocv()
+    assert dataclasses.astuple(kernels.OCV) == (
+        (3.6674, -0.0225, 0.5619, 0.6329, -0.1957, 0.1016),
+        (0.5623, 95.102, 97.036), 0.063, (0.8, 75.0, 0.83, 0.007),
+        ((0.012, 0.15, 0.019), (0.012, 0.19, 0.019), (0.004, 0.27, 0.024),
+         (0.009, 0.23, 0.016), (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kernels.OCV.neg_base = 0.07
+    for name in ("pos_powers", "pos_coef", "pos_slope", "neg_coef", "neg_m",
+                 "neg_w", "neg_hw"):
+        row = getattr(kernels.OCV, name)
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+
+
+def test_a_replaced_curve_keeps_its_slope(monkeypatch):
+    # the OCV and its slope read one curve: a new exponential amplitude
+    # moves both, and the slope still matches the OCV's central difference
+    default = ocv(0.05)
+    monkeypatch.setattr(kernels, "OCV", dataclasses.replace(
+        kernels.OCV, pos_exp=(0.6, 95.102, 97.036)))
+    assert ocv(0.05) != default
+    z = np.linspace(0.01, 0.99, 197)
+    h = 1e-6
+    fd = (ocv(z + h) - ocv(z - h)) / (2.0 * h)
+    assert np.allclose(docv_dz(z), fd, rtol=1e-6, atol=1e-9)
+
+
+def test_a_moved_stage_moves_the_discharge_and_its_peak(monkeypatch):
+    # the graphite stage the features read, moved from z = 0.59 to 0.60:
+    # the OCV, the integrator and the features all see the moved stage
+    cfg = SimConfig()
+    default = ocv(0.59)
+    peak = extract_features(
+        simulate_cc_discharge(make_pair(0.8, 1.0), cfg)).q_at_peak
+    steps = list(kernels.OCV.neg_steps)
+    height, _, width = steps[4]
+    steps[4] = (height, 0.60, width)
+    monkeypatch.setattr(kernels, "OCV", dataclasses.replace(
+        kernels.OCV, neg_steps=tuple(steps)))
+    assert ocv(0.59) != default
+    trace = assert_solve_matches_loop(monkeypatch, 0.8, 1.0, cfg)
+    assert extract_features(trace).q_at_peak != peak

@@ -1,5 +1,7 @@
 """Grid sweeps, product-curve collapse, and identification."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,22 @@ def test_run_sweep_checks_the_nameplate_first(monkeypatch, kw):
     name = next(iter(kw)).removesuffix("_grid")
     with pytest.raises(ConfigError, match=f"^{name} must"):
         run_sweep(**{"alpha_grid": [1.0], "beta_grid": [1.0], **kw})
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"sim_config": SimConfig(c_rate=1e-12, t_max=1e15)},
+     "a run at c_rate 1e-12, dt_s 1 and t_max_s 1e+15 may take"),
+    ({"sim_config": SimConfig(c_rate=1e300, t_max=100.0), "c_total": 1e300},
+     "discharge current -inf A is not finite")])
+def test_run_sweep_checks_the_discharge_first(monkeypatch, kw, message):
+    # a discharge every cell would refuse is refused once, with the
+    # nameplate, instead of failing each cell
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the discharge was checked")
+
+    monkeypatch.setattr(sweep, "simulate_cc_discharge", no_cell)
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        run_sweep([0.5, 1.0], [1.0, 2.0], **kw)
 
 
 @pytest.mark.parametrize("alpha_grid, beta_grid", [
