@@ -2,9 +2,9 @@
 
 Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file (--config), then explicit flags. Unknown config
-keys are rejected. Any library error is reported as one machine-readable
-JSON object on stderr with a nonzero exit code: 2 for a bad setting, an
-input that cannot be read or an output that cannot be written.
+keys are rejected. Any library or flag error is reported as one JSON
+object on stderr with a nonzero exit code: 2 for a bad setting, an input
+that cannot be read or an output that cannot be written.
 
 Every setting with a library default is a field of a config dataclass;
 the schema, the flags and the objects handed to the library are all derived
@@ -107,30 +107,29 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _outdir(cfg) -> Path:
-    outdir = cfg["outdir"] or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(outdir)
+def _write(cfg, name, write, obj):
+    """write(obj, path) to name in the output directory (--outdir, then
+    $PAIRDVA_OUTDIR, then .; made if missing), then print the path."""
+    outdir = Path(cfg["outdir"] or os.environ.get(OUTDIR_ENV) or ".")
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise FormatError(f"cannot write {path}: {err}") from err
-    return path
+        raise FormatError(f"cannot write {outdir}: {err}") from err
+    path = outdir / name
+    write(obj, path)
+    print(path)
 
 
-def _emit(text: str, cfg, sidecar: dict = None):
-    """Write text to stdout or to <outdir>/<out>, with optional sidecar."""
+def _emit(doc: dict, cfg, sidecar: dict = None):
+    """Write doc as JSON to stdout or to --out, with an optional sidecar."""
     out = cfg["out"]
     if out in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.dumps_json(doc))
         return
-    path = _outdir(cfg) / out
-    with fileio.create_text(path) as file:
-        file.write(text)
-    print(path)
+    _write(cfg, out, fileio.write_json, doc)
     if sidecar is not None:
-        side_path = path.with_name(path.stem + ".config.json")
-        fileio.write_json(sidecar, side_path)
-        print(side_path)
+        _write(cfg, Path(out).with_suffix(".config.json"), fileio.write_json,
+               sidecar)
 
 
 def cmd_simulate(args) -> int:
@@ -141,14 +140,9 @@ def cmd_simulate(args) -> int:
                           "simulate writes two files, not stdout (-)")
     trace = simulate_cc_discharge(_build(PairSpec, cfg),
                                   _build(SimConfig, cfg))
-    outdir = _outdir(cfg)
-    csv_path = outdir / f"{base}.csv"
-    side_path = outdir / f"{base}.json"
-    fileio.write_trace_csv(trace, csv_path)
-    fileio.write_json(fileio.trace_sidecar(trace, run_config=cfg),
-                      side_path)
-    print(csv_path)
-    print(side_path)
+    _write(cfg, f"{base}.csv", fileio.write_trace_csv, trace)
+    _write(cfg, f"{base}.json", fileio.write_json,
+           fileio.trace_sidecar(trace, run_config=cfg))
     return 0
 
 
@@ -158,7 +152,7 @@ def cmd_features(args) -> int:
     feats = extract_features(trace, _build(AnalysisConfig, cfg))
     sidecar = fileio.sidecar("features_config", cfg,
                              input=str(args.trace))
-    _emit(fileio.dumps_json(fileio.features_dict(feats)), cfg, sidecar)
+    _emit(fileio.features_dict(feats), cfg, sidecar)
     return 0
 
 
@@ -170,18 +164,13 @@ def cmd_sweep(args) -> int:
                      r_parallel=cfg["r_parallel_ohm"],
                      sim_config=_build(SimConfig, cfg),
                      analysis=_build(AnalysisConfig, cfg))
-    curve = product_curve(fmap, grid.bin_width)
-    outdir = _outdir(cfg)
-    map_path = outdir / "featuremap.csv"
-    curve_path = outdir / "product_curve.csv"
-    side_path = outdir / "sweep.json"
-    fileio.write_featuremap_csv(fmap, map_path)
-    fileio.write_product_curve_csv(curve, curve_path)
-    fileio.write_json(fileio.sweep_sidecar(fmap, run_config=cfg),
-                      side_path)
-    print(map_path)
-    print(curve_path)
-    print(side_path)
+    # the cells' record is written before binning, which fails when no
+    # cell succeeded
+    _write(cfg, "featuremap.csv", fileio.write_featuremap_csv, fmap)
+    _write(cfg, "sweep.json", fileio.write_json,
+           fileio.sweep_sidecar(fmap, run_config=cfg))
+    _write(cfg, "product_curve.csv", fileio.write_product_curve_csv,
+           product_curve(fmap, grid.bin_width))
     return 0
 
 
@@ -193,7 +182,7 @@ def cmd_identify(args) -> int:
                               skew_resolution=cfg["skew_resolution"])
     doc = fileio.identification_dict(result, run_config=cfg)
     doc["inputs"] = {"features": str(args.features), "curve": str(args.curve)}
-    _emit(fileio.dumps_json(doc), cfg)
+    _emit(doc, cfg)
     return 0
 
 
@@ -204,11 +193,20 @@ def _add_keys(parser, keys):
         parser.add_argument(flag, dest=key, type=caster, metavar=key.upper())
 
 
+class _Parser(argparse.ArgumentParser):
+    """A flag error (a bad value, a missing or unknown argument) raises
+    ConfigError, as the same value in a config file does; --help still
+    prints and exits."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser; each parse gives a fresh namespace, and a
     flag left out sets nothing on it (see resolve_config)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairdva",
         description="Simulate parallel cell-pair discharges and diagnose "
                     "capacity/resistance imbalance from dV/dQ peak shape.")
@@ -256,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PairDvaError as err:
         doc = {"error": type(err).__name__, "stage": err.stage,

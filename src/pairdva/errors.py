@@ -37,7 +37,7 @@ class SpanError(PairDvaError, ValueError):
 class EmptyWindowError(PairDvaError, ValueError):
     """No samples fall inside the requested voltage window."""
 
-    stage = "downselect_window"
+    stage = "dvdq_curve"
 
 
 class NoPeakError(PairDvaError, ValueError):

@@ -92,6 +92,10 @@ class SimConfig:
             raise ConfigError("z0 must lie in (0, 1]")
         if not (0.0 <= self.soc_floor <= 0.1):
             raise ConfigError("soc_floor must lie in [0, 0.1]")
+        if self.z0 <= self.soc_floor:
+            # the run would end at its first sample
+            raise ConfigError(f"z0 {self.z0:g} must lie above soc_floor "
+                              f"{self.soc_floor:g}")
         if self.t_max is None:
             object.__setattr__(
                 self, "t_max", 5.0 * (1.0 / self.c_rate) * SECONDS_PER_HOUR)
@@ -200,17 +204,21 @@ def simulate_cc_discharge(params: PairSpec, config: SimConfig = None, *,
     config = config if config is not None else SimConfig()
     c1, c2 = params.cell1, params.cell2
     i_total = _discharge_current(config, c1.capacity_ah + c2.capacity_ah)
+    n_max = _n_max(config)
     if past is not None:
-        v_lo, past_ah, min_ah = past
+        v_lo, *reach_ah = past
         step_ah = config.dt * abs(i_total) / SECONDS_PER_HOUR
-        past = (v_lo, math.ceil(past_ah / step_ah) + 1,
-                math.ceil(min_ah / step_ah) + 1)
+        # no run has more than n_max samples, so a reach past them (one of
+        # inf Ah, say) is n_max steps
+        past = (v_lo, *(1 + (n_max if ah >= n_max * step_ah
+                             else math.ceil(ah / step_ah))
+                        for ah in reach_ah))
     z1, z2, i1, i2, vt, _, code = kernels.pair_rk4(
         config.z0, config.z0,
         c1.capacity_ah * SECONDS_PER_HOUR, c2.capacity_ah * SECONDS_PER_HOUR,
         c1.resistance_ohm, c2.resistance_ohm, i_total,
-        config.dt, _n_max(config), config.v_cutoff, config.soc_floor,
-        config.t_max, past)
+        config.dt, n_max, config.v_cutoff, config.soc_floor, config.t_max,
+        past)
     return _trace(params, config, _reason(code), i_total, vt,
                   (c1.capacity_ah, z1, i1), (c2.capacity_ah, z2, i2))
 

@@ -12,8 +12,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyWindowError, FormatError, NoPeakError, SpanError
+from .pairsim import _require_positive
 
 VOLTAGE_WINDOW = (3.7, 3.9)
+# the most points a charge grid may hold: 80 MB a column, as many as the
+# longest simulated run has samples
+_MAX_GRID_POINTS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -23,8 +27,7 @@ class SmoothingConfig:
     sg_order: int = 3
 
     def __post_init__(self):
-        if not (self.dq_ah > 0.0):
-            raise ConfigError("dq_ah must be positive")
+        _require_positive(dq_ah=self.dq_ah)
         if self.sg_window % 2 != 1 or self.sg_window <= self.sg_order + 1:
             raise ConfigError(
                 "sg_window must be odd and greater than sg_order + 1")
@@ -82,7 +85,11 @@ def resample_uniform_q(trace, dq: float):
         raise FormatError(f"charge column is not strictly increasing: "
                           f"{float(q_raw[k])!r} at sample {k} after "
                           f"{float(q_raw[k - 1])!r}", stage="resample")
-    n = int(np.floor((q_raw[-1] - q_raw[0]) / dq)) + 1
+    steps = float(q_raw[-1] - q_raw[0]) / dq     # inf past the float range
+    if not steps < _MAX_GRID_POINTS:
+        raise SpanError(f"a grid at {dq:g} Ah spacing holds {steps + 1:.4g} "
+                        f"points, more than {_MAX_GRID_POINTS:,}")
+    n = int(steps) + 1
     if n < 2:
         raise SpanError("charge span shorter than one grid step")
     q = q_raw[0] + dq * np.arange(n)

@@ -7,6 +7,7 @@ candidates, skewness picks between them.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -188,7 +189,10 @@ def product_curve(fmap: FeatureMap,
         key = int(round(cell.product / bin_width))
         groups.setdefault(key, []).append(cell)
     if not groups:
-        raise SweepError("no successful sweep cells to bin")
+        failed = Counter(f"{c.status} at {c.stage}" for c in fmap.cells)
+        raise SweepError(
+            f"no successful sweep cells to bin: {len(fmap.cells)} failed ("
+            + ", ".join(f"{kind}: {n}" for kind, n in failed.items()) + ")")
     rows = []
     for key in sorted(groups):
         cells = groups[key]

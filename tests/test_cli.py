@@ -294,6 +294,24 @@ def test_extreme_finite_setting_has_no_traceback(workdir, flags):
         assert stderr_json(proc)["error"] == "ConfigError"
 
 
+ONE_CELL = ["--alpha-steps", "1", "--beta-steps", "1"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "--dq-ah", "inf", *ONE_CELL], "ConfigError"),
+    (["sweep", "--dq-ah", "1e308", *ONE_CELL], "SweepError"),
+    (["sweep", "--dq-ah", "1e-300", *ONE_CELL], "SweepError"),
+    (["features", "TRACE", "--dq-ah", "1e-300"], "SpanError")])
+def test_extreme_grid_spacing_has_no_traceback(workdir, sim_dir, argv, error):
+    # a reach of inf Ah once overflowed its conversion to steps, and a grid
+    # too fine to allocate reached np.arange
+    argv = [str(sim_dir / "trace.csv") if a == "TRACE" else a for a in argv]
+    proc = run_cli([*argv, "--outdir", "spacing"], cwd=workdir)
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert stderr_json(proc)["error"] == error
+    assert proc.returncode == (2 if error == "ConfigError" else 1)
+
+
 def test_overflowing_current_exits_with_config_error(workdir):
     proc = run_cli(["simulate", "--c-rate", "1e300", "--c-total-ah", "1e300",
                     "--t-max-s", "100", "--outdir", "overflow"], cwd=workdir)
@@ -349,7 +367,9 @@ def test_bad_grid_rejected_before_the_sweep(monkeypatch, capsys, tmp_path,
      "v_lo and v_hi must"),
     (["features", "TRACE", "--v-lo", "nan"], "v_lo and v_hi must"),
     (["features", "TRACE", "--density-floor", "nan"], "density_floor must"),
-    (["features", "TRACE", "--fit-tol", "-1"], "fit_tol must")])
+    (["features", "TRACE", "--fit-tol", "-1"], "fit_tol must"),
+    (["simulate", "--z0", "0.01"], "z0 0.01 must lie above soc_floor 0.02"),
+    (["sweep", "--z0", "0.02"], "z0 0.02 must lie above soc_floor 0.02")])
 def test_bad_setting_exits_2_before_any_sweep_cell(monkeypatch, capsys,
                                                    tmp_path, sim_dir, argv,
                                                    message):
@@ -370,6 +390,48 @@ def test_bad_setting_exits_2_before_any_sweep_cell(monkeypatch, capsys,
     assert (doc["error"], doc["stage"]) == ("ConfigError", "config")
     assert doc["message"].startswith(message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--alpha-steps", "2.5"],
+     "argument --alpha-steps: invalid int value: '2.5'"),
+    (["features"], "the following arguments are required: trace"),
+    (["simulate", "--frobnicate", "1"],
+     "unrecognized arguments: --frobnicate 1"),
+    ([], "the following arguments are required: command")])
+def test_flag_error_is_one_json_line(capsys, argv, message):
+    # as the same value in a config file is, not argparse's usage text
+    assert cli.main(argv) == 2
+    assert_one_error(capsys, "ConfigError", "config", message)
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["sweep", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pairdva sweep ")
+
+
+def test_sweep_whose_every_cell_fails_keeps_its_record(capsys, tmp_path):
+    # both cells fail at peak_height; the feature map and sweep.json are
+    # written before binning fails
+    assert cli.main(["sweep", "--v-lo", "4.5", "--v-hi", "4.6",
+                     "--alpha-steps", "2", "--beta-steps", "1",
+                     "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.split() == [str(tmp_path / "featuremap.csv"),
+                           str(tmp_path / "sweep.json")]
+    line, = err.strip().splitlines()
+    assert json.loads(line) == {
+        "error": "SweepError", "stage": "product_curve",
+        "message": "no successful sweep cells to bin: 2 failed "
+                   "(NoPeakError at peak_height: 2)"}
+    rows = (tmp_path / "featuremap.csv").read_text().splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["NoPeakError"] * 2
+    side = json.loads((tmp_path / "sweep.json").read_text())
+    assert (side["n_ok"], side["n_cells"]) == (0, 2)
+    assert {f["stage"] for f in side["failures"]} == {"peak_height"}
+    assert not (tmp_path / "product_curve.csv").exists()
 
 
 def test_sweep_ignores_a_shared_configs_pair_ratios(workdir):
@@ -681,7 +743,7 @@ def test_unusable_windows_reported(workdir, sim_dir):
     assert proc.returncode == 1
     doc = stderr_json(proc)
     assert doc["error"] == "EmptyWindowError"
-    assert doc["stage"] == "downselect_window"
+    assert doc["stage"] == "dvdq_curve"
     # band on the upper OCV slope: samples exist but the curve is monotone
     proc = run_cli(["features", str(sim_dir / "trace.csv"),
                     "--v-lo", "4.2", "--v-hi", "4.4"], cwd=workdir)
@@ -696,6 +758,9 @@ def test_sweep_then_identify(workdir, sim_dir):
     proc = run_cli(["sweep", "--alpha-steps", "2", "--beta-steps", "2",
                     "--outdir", str(out)], cwd=workdir)
     assert proc.returncode == 0, proc.stderr
+    # the cells' record first, then the curve binned from it
+    assert proc.stdout.split() == [str(out / name) for name in (
+        "featuremap.csv", "sweep.json", "product_curve.csv")]
     fmap_lines = (out / "featuremap.csv").read_text().splitlines()
     assert fmap_lines[0] == FEATUREMAP_HEADER
     assert len(fmap_lines) == 1 + 4          # corners only

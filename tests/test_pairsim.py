@@ -98,6 +98,10 @@ def test_sim_config_validated():
         SimConfig(z0=1.1)
     with pytest.raises(ConfigError):
         SimConfig(soc_floor=0.5)
+    for z0 in (0.01, 0.02):     # the run would end at its first sample
+        with pytest.raises(ConfigError,
+                           match=f"^z0 {z0:g} must lie above soc_floor"):
+            SimConfig(z0=z0)
     with pytest.raises(ConfigError):
         SimConfig(c_rate=-1.0)
     with pytest.raises(ConfigError):

@@ -50,8 +50,15 @@ def test_resample_rejects_flat_charge_column():
     ([0.0, 1.0, 2.0], np.nan, ConfigError, "config", "dq must be positive"),
     ([0.0], 0.05, SpanError, "resample", "trace too short to resample"),
     ([0.0, 0.02, 0.04], 0.05, SpanError, "resample",
-     "charge span shorter than one grid step")],
-    ids=["zero_dq", "negative_dq", "nan_dq", "one_sample", "short_span"])
+     "charge span shorter than one grid step"),
+    ([0.0, 1.0, 2.0], 1e-300, SpanError, "resample",
+     r"a grid at 1e-300 Ah spacing holds 2e\+300 points, more than "
+     "10,000,000"),
+    ([0.0, 1.0, 2.0], 1e-320, SpanError, "resample",
+     r"a grid at 9\.99989e-321 Ah spacing holds inf points, more than "
+     "10,000,000")],
+    ids=["zero_dq", "negative_dq", "nan_dq", "one_sample", "short_span",
+         "huge_grid", "grid_past_float_range"])
 def test_resample_rejects_a_grid_it_cannot_make(q_raw, dq, cls, stage,
                                                 message):
     q_raw = np.asarray(q_raw)
@@ -209,8 +216,10 @@ def test_smoothing_config_validated():
         SmoothingConfig(sg_window=24)      # must be odd
     with pytest.raises(ConfigError):
         SmoothingConfig(sg_window=3, sg_order=3)
-    with pytest.raises(ConfigError):
-        SmoothingConfig(dq_ah=0.0)
+    for dq_ah in (0.0, np.inf):
+        with pytest.raises(ConfigError,
+                           match="^dq_ah must be positive and finite$"):
+            SmoothingConfig(dq_ah=dq_ah)
 
 
 def test_smoothing_config_needs_a_positive_order():

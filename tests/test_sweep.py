@@ -141,6 +141,15 @@ def test_run_stopped_near_its_start_fails_as_the_full_run(z0):
         lambda: extract_features(full))
 
 
+@pytest.mark.parametrize("dq_ah", [1e308, 1e-300])
+def test_extreme_grid_spacing_fails_its_cells(dq_ah):
+    # a reach of inf Ah is capped at the run's step limit, and a grid
+    # too fine to allocate is refused before it is made
+    analysis = AnalysisConfig(smoothing=SmoothingConfig(dq_ah=dq_ah))
+    cell, = run_sweep([1.0], [1.0], analysis=analysis).cells
+    assert (cell.status, cell.stage) == ("SpanError", "resample")
+
+
 def test_sweep_records_failures_instead_of_raising():
     fmap = run_sweep(alpha_grid=[1.0], beta_grid=[1.0],
                      sim_config=SimConfig(t_max=600.0))
@@ -148,8 +157,10 @@ def test_sweep_records_failures_instead_of_raising():
     assert not cell.ok
     assert cell.status == "EmptyWindowError"
     assert cell.features is None
-    with pytest.raises(Exception):
-        product_curve(fmap)           # no successful cells to bin
+    with pytest.raises(SweepError, match=r"^no successful sweep cells to "
+                       r"bin: 1 failed \(EmptyWindowError at dvdq_curve: "
+                       r"1\)$"):
+        product_curve(fmap)
 
 
 def test_failed_cell_keeps_stage_and_message(monkeypatch, tmp_path):
