@@ -318,8 +318,10 @@ def read_trace_csv(path) -> SimTrace:
     """
     path = Path(path)
     header, data = _read_table(path, _trace_header)
-    if data.shape[0] < 2:
-        raise FormatError(f"{path} has no usable data rows")
+    n = data.shape[0]
+    if n < 2:
+        raise FormatError(f"{path} has {n or 'no'} usable data "
+                          f"row{'s' * (n != 1)}; a trace needs at least 2")
     fields = dict(zip((TRACE_COLUMNS[name][0] for name in header), data.T))
     if "q_pair" not in fields:
         i = fields["i_total"]

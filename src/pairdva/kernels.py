@@ -146,21 +146,23 @@ def ocv_and_slope(z):
 # delta_0 = 0, where the step Jacobian dPhi/dx ~ I + u rho_k^T has a fixed
 # u. So delta_k = D_k + u S_k, with D the running sum of the defects and
 # the scalar S_{k+1} = (1 + a_k) S_k + b_k, a_k = u.rho_k, b_k = rho_k.D_k,
-# S_0 = 0: one cumprod and one cumsum. rho_k comes from the rate Jacobian
-# at stage 1 alone, taken for all four stages, so stages 2-4 need the OCV
-# but not its slope; an inexact Jacobian costs iterations, never bits.
-# The corrected states are summed step by step from corrected increments,
-# so each one is rounded as the RK4 step itself rounds it. The states up
-# to the first nonzero defect are the stepping loop's own, bit for bit, and
-# so is the step from the last of them: each iteration keeps those states,
-# at least one, and goes on from that step, with the corrected rest of the
-# window and, to keep its width, copies of the last corrected increment:
-# the window slides along the run instead of restarting. A trial state
-# outside the OCV's domain gives a non-finite defect; the window is cut
-# before it. The first window holds the first state for one step, so its
-# pass keeps that state and repeats its increment: the run's one fresh
-# guess. The result is the loop's trajectory exactly, not to a tolerance:
-# the features downstream react to a last-digit change of one trace sample.
+# S_0 = 0: one cumprod and one cumsum. rho_k chains the rate Jacobians of
+# the four stages from slopes the pass already has: stage 1's at x_k,
+# stage 4's at x_{k+1} and their mean for stages 2 and 3, so stages 2-4
+# need the OCV but not its slope; an inexact Jacobian costs iterations,
+# never bits. The corrected states are summed step by step from corrected
+# increments, so each one is rounded as the RK4 step itself rounds it. The
+# states up to the first nonzero defect are the stepping loop's own, bit
+# for bit, and so is the step from the last of them: each iteration keeps
+# those states, at least one, and goes on from that step, with the
+# corrected rest of the window and, to keep its width, the last corrected
+# increment carried along its step's Jacobian: the window slides along
+# the run instead of restarting. A trial state outside the OCV's domain
+# gives a non-finite defect; the window is cut before it. The first window
+# holds the first state for one step, so its pass keeps that state and
+# repeats its increment: the run's one fresh guess. The result is the
+# loop's trajectory exactly, not to a tolerance: the features downstream
+# react to a last-digit change of one trace sample.
 
 WINDOW = 512         # width of the window; ~0.6 kB of work per step
 SOC_SLACK = 1e-9     # how far past [0, 1] a step may take an SOC
@@ -226,9 +228,12 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         # v_t = (r1 u2 + r2 u1) / r_tot + r1 r2 i_total / r_tot
         return inc, du, i, (r1 * u[1] + r2 * u[0]) / r_tot + v_offset
 
-    def window(x0, inc):
+    def window(x0, inc, a=0.0, b=0.0):
         """x0 followed by the step-by-step sums of the increments, the last
-        of them repeated up to the window's width."""
+        of them carried on up to the window's width along its step's
+        Jacobian I + dk_di1 rho^T: j steps on, it gains dk_di1 b ((1 +
+        a)^j - 1) / a, a = dk_di1.rho and b = rho.inc[:, -1] (b = 0 repeats
+        it)."""
         steps = np.empty(
             (2, 1 + min(WINDOW, n_max - start, max(last - start, 1))))
         inc = inc[:, :steps.shape[1] - 1]    # last may have come closer
@@ -236,19 +241,31 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         steps[:, 0] = x0
         steps[:, 1:n + 1] = inc
         steps[:, n + 1:] = inc[:, -1:]
+        if b:
+            j = np.arange(1.0, steps.shape[1] - n)
+            steps[:, n + 1:] += dk_di1 * (
+                b * ((1.0 + a) ** j - 1.0) / a if a else b * j)
         return np.add.accumulate(steps, axis=1)
 
     def newton(inc, du, defect):
-        """The increments inc after one Newton step. du[:, k] is the OCV
-        slope at the state inc[:, k] steps from, and defect[:, k] the
-        defect of the step into it, so that state's correction is delta_k
-        = D_k + dk_di1 S_k, D the running sum of the defects, and inc[:, k]
-        gains dk_di1 rho_k.delta_k."""
-        # RK4 on rates with the fixed Jacobian dk_di1 w^T steps by
-        # I + dk_di1 rho^T, rho = dt (1 + h/2 + h^2/6 + h^3/24) w, h = dt u.w
-        w = di1_du * du
-        h = dt * (dk_di1 * w).sum(0)
-        rho = dt * (1.0 + h * (0.5 + h * (1.0 / 6.0 + h / 24.0))) * w
+        """The increments inc after one Newton step, and a = dk_di1.rho and
+        b = rho.inc of the last. du[:, k] is the OCV slope at the state
+        inc[:, k] steps from, and defect[:, k] the defect of the step into
+        it, so that state's correction is delta_k = D_k + dk_di1 S_k, D the
+        running sum of the defects, and inc[:, k] gains dk_di1
+        rho_k.delta_k."""
+        # RK4 on rates with the stage Jacobians dk_di1 w_s^T steps by
+        # I + dk_di1 rho^T, rho = dt/6 (g1 + 2 g2 + 2 g3 + g4): g1 = w_1,
+        # g2 = w_m + h_m/2 g1, g3 = w_m + h_m/2 g2, g4 = w_4 + h_4 g3, with
+        # h = dt dk_di1.w; w_1 from the step's state, w_4 from the next
+        # state's (the last state's own) and w_m from their mean
+        w1 = di1_du * du
+        w4 = np.concatenate((w1[:, 1:], w1[:, -1:]), axis=1)
+        wm = 0.5 * (w1 + w4)
+        hm, h4 = dt * (dk_di1 * wm).sum(0), dt * (dk_di1 * w4).sum(0)
+        g2 = wm + 0.5 * hm * w1
+        g3 = wm + 0.5 * hm * g2
+        rho = (dt / 6.0) * (w1 + 2.0 * g2 + 2.0 * g3 + w4 + h4 * g3)
         d = defect.cumsum(1)
         a = (dk_di1 * rho).sum(0)
         g = (1.0 + a).cumprod()
@@ -257,7 +274,8 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         ds = diffs[:len(s)]
         ds[:1] = s[:1]
         np.subtract(s[1:], s[:-1], out=ds[1:])
-        return inc + dk_di1 * ds
+        fix = inc + dk_di1 * ds
+        return fix, a[-1], rho[:, -1] @ fix[:, -1]
 
     def record(x, nxt, i, v):
         """Write samples start.. of states x, stepping to nxt, into the
@@ -321,7 +339,9 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
             if code or start == n_max:
                 return (zs[0, :n], zs[1, :n], cs[0, :n], cs[1, :n], vs[:n],
                         n, code)
-            fix = newton(inc[:, keep:cut], du[:, keep:cut],
-                         defect[:, keep - 1:cut - 1])
-            x = window(nxt[:, keep - 1],
-                       fix if fix.size else inc[:, keep - 1:keep])
+            if cut > keep:
+                x = window(nxt[:, keep - 1], *newton(
+                    inc[:, keep:cut], du[:, keep:cut],
+                    defect[:, keep - 1:cut - 1]))
+            else:   # nothing corrected: copies of the last increment
+                x = window(nxt[:, keep - 1], inc[:, keep - 1:keep])

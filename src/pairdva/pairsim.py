@@ -102,7 +102,7 @@ class SimConfig:
         _require_positive(t_max=self.t_max)
         if not math.isfinite(self.t_max / self.dt):
             raise ConfigError("t_max / dt must be finite")
-        lo, hi = kernels.ocv(0.0), kernels.ocv(1.0)
+        lo, hi = kernels.ocv(np.array([0.0, 1.0]))
         if not (lo <= self.v_cutoff <= hi):
             raise ConfigError(
                 f"v_cutoff {self.v_cutoff:g} outside the OCV range "
@@ -153,10 +153,12 @@ def _reason(code) -> str:
     return reason
 
 
-def _discharge_current(config: SimConfig, capacity_ah: float) -> float:
-    """-c_rate * capacity; ConfigError when it is zero or not finite, or
-    when the run may take more than _MAX_STEPS steps to its SOC floor or
-    time limit."""
+def _discharge_current(config: SimConfig, capacity_ah: float,
+                       resistance_ohm: float) -> float:
+    """-c_rate * capacity; ConfigError when it is zero or not finite, when
+    the run may take more than _MAX_STEPS steps to its SOC floor or time
+    limit, or when its first sample, through resistance_ohm, is already at
+    the cutoff voltage."""
     i_total = -config.c_rate * capacity_ah
     if i_total == 0.0:
         raise ConfigError("discharge current is zero")
@@ -170,6 +172,12 @@ def _discharge_current(config: SimConfig, capacity_ah: float) -> float:
             f"a run at c_rate {config.c_rate:g}, dt_s {config.dt:g} and "
             f"t_max_s {config.t_max:g} may take {steps:,} steps, more than "
             f"{_MAX_STEPS:,}")
+    v_0 = kernels.ocv(config.z0) + i_total * resistance_ohm
+    if not v_0 > config.v_cutoff:
+        raise ConfigError(
+            f"the first sample's voltage {v_0:.4f} V, at z0 {config.z0:g}, "
+            f"is at or below v_cutoff {config.v_cutoff:g}: the run would "
+            "end there")
     return i_total
 
 
@@ -203,7 +211,8 @@ def simulate_cc_discharge(params: PairSpec, config: SimConfig = None, *,
     """
     config = config if config is not None else SimConfig()
     c1, c2 = params.cell1, params.cell2
-    i_total = _discharge_current(config, c1.capacity_ah + c2.capacity_ah)
+    i_total = _discharge_current(config, c1.capacity_ah + c2.capacity_ah,
+                                 params.r_parallel)
     n_max = _n_max(config)
     if past is not None:
         v_lo, *reach_ah = past
@@ -232,7 +241,7 @@ def single_cell_reference(capacity_ah: float, resistance_ohm: float,
     """
     config = config if config is not None else SimConfig()
     cell = CellParams(capacity_ah, resistance_ohm)
-    i_total = _discharge_current(config, capacity_ah)
+    i_total = _discharge_current(config, capacity_ah, resistance_ohm)
     # constant current: all four RK4 stages coincide, so every step adds one
     # increment; accumulated in step order, SOC matches a stepping loop's
     k1 = i_total / (capacity_ah * SECONDS_PER_HOUR)

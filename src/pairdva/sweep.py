@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import ConfigError, IdentifyError, PairDvaError, SweepError
 from .features import AnalysisConfig, PeakFeatures, extract_features
-from .pairsim import (PairSpec, SimConfig, _discharge_current,
-                      _require_positive, make_pair, simulate_cc_discharge)
-from .signal import SmoothingConfig
+from .pairsim import (SECONDS_PER_HOUR, PairSpec, SimConfig,
+                      _discharge_current, _require_positive, make_pair,
+                      simulate_cc_discharge)
+from .signal import _MAX_GRID_POINTS, SmoothingConfig
 
 
 def _grid(lo, hi, steps):
@@ -134,9 +135,9 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
 
     Grids left out are the GridConfig defaults. Cells come out row-major
     over (alpha, beta). Per-cell failures are recorded in the cell status,
-    not raised; a ratio or nameplate that PairSpec rejects, and a discharge
-    that simulate_cc_discharge refuses, raise their ConfigError before any
-    cell runs.
+    not raised; a ratio or nameplate that PairSpec rejects, a discharge
+    that simulate_cc_discharge refuses, and a dq_ah whose grid no cell's
+    run could hold, raise their ConfigError before any cell runs.
     """
     grid = GridConfig()
     alpha_grid = np.asarray(
@@ -149,12 +150,18 @@ def run_sweep(alpha_grid=None, beta_grid=None, *,
     pairs = [make_pair(float(a), float(b), c_total, r_parallel)
              for a in alpha_grid for b in beta_grid]
     sim_config = sim_config if sim_config is not None else SimConfig()
-    _discharge_current(sim_config, c_total)
+    i_total = _discharge_current(sim_config, c_total, r_parallel)
     analysis = analysis if analysis is not None else AnalysisConfig()
+    sm = analysis.smoothing
+    # every cell's run spans at least one step's charge
+    points = abs(i_total) * sim_config.dt / SECONDS_PER_HOUR / sm.dq_ah
+    if not points < _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"dq_ah {sm.dq_ah:g} puts {points + 1:.4g} grid points on one "
+            f"step's charge, more than {_MAX_GRID_POINTS:,}")
 
     # each cell's run stops where its features stop reading: the smoother's
     # reach past the window's low edge, and no sooner than min_samples
-    sm = analysis.smoothing
     past = (analysis.v_lo, sm.reach_ah, sm.min_samples * sm.dq_ah)
 
     def one(pair):

@@ -300,7 +300,7 @@ ONE_CELL = ["--alpha-steps", "1", "--beta-steps", "1"]
 @pytest.mark.parametrize("argv, error", [
     (["sweep", "--dq-ah", "inf", *ONE_CELL], "ConfigError"),
     (["sweep", "--dq-ah", "1e308", *ONE_CELL], "SweepError"),
-    (["sweep", "--dq-ah", "1e-300", *ONE_CELL], "SweepError"),
+    (["sweep", "--dq-ah", "1e-300", *ONE_CELL], "ConfigError"),
     (["features", "TRACE", "--dq-ah", "1e-300"], "SpanError")])
 def test_extreme_grid_spacing_has_no_traceback(workdir, sim_dir, argv, error):
     # a reach of inf Ah once overflowed its conversion to steps, and a grid
@@ -310,6 +310,18 @@ def test_extreme_grid_spacing_has_no_traceback(workdir, sim_dir, argv, error):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert stderr_json(proc)["error"] == error
     assert proc.returncode == (2 if error == "ConfigError" else 1)
+
+
+def test_one_row_trace_names_its_row_count(capsys, tmp_path, sim_dir):
+    # the file a run ending at its first sample would write
+    header, first = (sim_dir / "trace.csv").read_text().splitlines()[:2]
+    one = tmp_path / "one_row.csv"
+    one.write_text(f"{header}\n{first}\n")
+    assert cli.main(["features", str(one), "--outdir", str(tmp_path)]) == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (doc["error"], doc["message"]) == (
+        "FormatError", f"{one} has 1 usable data row; a trace needs at "
+        "least 2")
 
 
 def test_overflowing_current_exits_with_config_error(workdir):
@@ -369,7 +381,14 @@ def test_bad_grid_rejected_before_the_sweep(monkeypatch, capsys, tmp_path,
     (["features", "TRACE", "--density-floor", "nan"], "density_floor must"),
     (["features", "TRACE", "--fit-tol", "-1"], "fit_tol must"),
     (["simulate", "--z0", "0.01"], "z0 0.01 must lie above soc_floor 0.02"),
-    (["sweep", "--z0", "0.02"], "z0 0.02 must lie above soc_floor 0.02")])
+    (["sweep", "--z0", "0.02"], "z0 0.02 must lie above soc_floor 0.02"),
+    (["simulate", "--z0", "0.03", "--v-cutoff-v", "3.4"],
+     "the first sample's voltage 3.3549 V, at z0 0.03, is at or below "
+     "v_cutoff 3.4"),
+    (["sweep", "--z0", "0.03", "--v-cutoff-v", "3.4"],
+     "the first sample's voltage 3.3549 V"),
+    (["sweep", "--dq-ah", "1e-300", "--alpha-steps", "2", "--beta-steps",
+      "1"], "dq_ah 1e-300 puts 1.111e+298 grid points on one step's")])
 def test_bad_setting_exits_2_before_any_sweep_cell(monkeypatch, capsys,
                                                    tmp_path, sim_dir, argv,
                                                    message):

@@ -205,7 +205,8 @@ def test_chunked_trace_matches_one_shot_writer(tmp_path, n):
     assert path.read_text() == one_shot_csv(fileio.TRACE_HEADER, zip(*cols),
                                             len(FIELDS))
     if n < 2:
-        with pytest.raises(fileio.FormatError, match="no usable data rows"):
+        with pytest.raises(fileio.FormatError, match="has 1 usable data row; "
+                           "a trace needs at least 2"):
             fileio.read_trace_csv(path)
         return
     back = fileio.read_trace_csv(path)

@@ -583,15 +583,18 @@ def test_charging_run_ignores_the_past_window_stop():
 
 
 @pytest.mark.parametrize("alpha, beta, cfg, most", [
-    (0.7, 1.6, SimConfig(), 450), (0.1, 1.0, SimConfig(c_rate=1.0), 400),
-    (0.1, 1.0, SimConfig(c_rate=2.0), 150)])
+    (0.7, 1.6, {}, 340), (0.1, 1.0, {"c_rate": 1.0}, 400),
+    (0.1, 1.0, {"c_rate": 2.0}, 150), (1.0, 1.0, {}, 90),
+    (0.5, 2.0, {}, 90)])
 def test_solve_needs_few_ocv_evaluations(monkeypatch, alpha, beta, cfg, most):
     # a fixed-point iteration, with no Newton correction, and a window not
     # cut before its non-finite trial states both reach the loop's
     # trajectory, so only the number of OCV evaluations tells them apart:
-    # 382, 214 and 90 here (two of them outside the integrator), 866, 610
-    # and 218 with no correction, 2586 for (0.1, 1) at 2C with no cut (at
-    # 1C its window is never cut)
+    # 330, 198 and 70 here (two of them outside the integrator), 866, 610
+    # and 218 with no correction, 2610 for (0.1, 1) at 2C with no cut (at
+    # 1C its window is never cut); 382, 214 and 90 with the step Jacobian
+    # taken from stage 1 alone and a window filled out with copies of its
+    # last increment. A unit product's first guess is exact: 90, 22 passes
     calls = []
     for name in ("ocv", "ocv_and_slope"):
         evaluate = getattr(kernels, name)
@@ -601,8 +604,8 @@ def test_solve_needs_few_ocv_evaluations(monkeypatch, alpha, beta, cfg, most):
             return evaluate(z)
 
         monkeypatch.setattr(kernels, name, counting)
-    simulate_cc_discharge(make_pair(alpha, beta), cfg)
-    assert len(calls) <= most
+    simulate_cc_discharge(make_pair(alpha, beta), SimConfig(**cfg))
+    assert len(calls) <= most if alpha * beta != 1.0 else len(calls) == most
 
 
 def test_simulation_emits_no_warning():

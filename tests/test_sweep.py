@@ -141,12 +141,34 @@ def test_run_stopped_near_its_start_fails_as_the_full_run(z0):
         lambda: extract_features(full))
 
 
-@pytest.mark.parametrize("dq_ah", [1e308, 1e-300])
+@pytest.mark.parametrize("dq_ah", [1e308])
 def test_extreme_grid_spacing_fails_its_cells(dq_ah):
-    # a reach of inf Ah is capped at the run's step limit, and a grid
-    # too fine to allocate is refused before it is made
+    # a reach of inf Ah is capped at the run's step limit
     analysis = AnalysisConfig(smoothing=SmoothingConfig(dq_ah=dq_ah))
     cell, = run_sweep([1.0], [1.0], analysis=analysis).cells
+    assert (cell.status, cell.stage) == ("SpanError", "resample")
+
+
+def test_grid_no_cell_can_hold_refused_before_any_cell(monkeypatch):
+    # one step's charge is 40 A * 1 s / 3600 = 1/90 Ah; a grid whose
+    # spacing puts more than 10,000,000 points in it is refused once, and
+    # one a little coarser is left to each cell, whose run spans many steps
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the grid was checked")
+
+    step_ah = 40.0 / 3600.0
+    too_fine = AnalysisConfig(
+        smoothing=SmoothingConfig(dq_ah=step_ah / 1.01e7))
+    with monkeypatch.context() as patched:
+        patched.setattr(sweep, "simulate_cc_discharge", no_cell)
+        with pytest.raises(ConfigError, match=(
+                r"^dq_ah 1\.10011e-09 puts 1\.01e\+07 grid points on one "
+                r"step's charge, more than 10,000,000$")) as err:
+            run_sweep([1.0, 0.9], [1.0], analysis=too_fine)
+    assert err.value.stage == "config"
+    coarser = AnalysisConfig(
+        smoothing=SmoothingConfig(dq_ah=step_ah / 0.99e7))
+    cell, = run_sweep([1.0], [1.0], analysis=coarser).cells
     assert (cell.status, cell.stage) == ("SpanError", "resample")
 
 
