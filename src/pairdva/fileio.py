@@ -6,7 +6,13 @@ configuration so any output can regenerate its run.
 
 CSVs go through memory a bounded piece at a time. One writer serves every
 CSV: it formats and writes CHUNK_ROWS rows per write, never the text of
-the whole file. Every output is opened by create_text, which reports a
+the whole file. It formats a chunk's floats in bulk, to the bytes of
+"%.12g" % x: a finite nonzero cell whose decimal exponent E is in
+[-4, 11] takes its 12 digits from floor(y + 0.5), y = |x| 10^(11 - E),
+when y is in [1e11, 1e12 - 1) and its fraction at least 2^-12 from one
+half; every other cell (nan, +-inf, +-0, exponent form, a near-tie, an
+exponent off by one) is formatted alone through "%.12g". Every output
+is opened by create_text, which reports a
 file it cannot write as a FormatError. A reader takes the header line,
 then hands the open file to np.loadtxt, so it holds no copy of the text;
 only a file that parse rejects (a whitespace-only line, a malformed or a
@@ -25,6 +31,7 @@ writer, and its reader where it has one, follow the table.
 import dataclasses
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
@@ -91,8 +98,9 @@ FEATUREMAP_HEADER = ",".join([*FEATUREMAP_COLUMNS, "status"])
 _PRODUCT_CURVE_COLUMNS = [f.name for f in dataclasses.fields(ProductBin)]
 PRODUCT_CURVE_HEADER = ",".join(_PRODUCT_CURVE_COLUMNS)
 
-# rows formatted per write; one chunk's text is the writer's largest buffer
-CHUNK_ROWS = 1024
+# rows formatted per write; one chunk's text and work arrays are the
+# writer's largest buffers
+CHUNK_ROWS = 256
 
 
 def fmt(x) -> str:
@@ -100,23 +108,123 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+# the longest "%.12g" text, that of -2.22507385851e-308
+_CELL_BYTES = 19
+# y = |x| 10^(11 - E) is one rounded product, within 2^-14 of the exact
+# one, so a y whose fraction is this far from one half rounds as it does
+_TIE_MARGIN = 2.0 ** -12
+_POW10 = np.array([float(10 ** k) for k in range(16)])     # all exact
+_INT_POW10 = 10 ** np.arange(5, dtype=np.int64)
+# "%04d" of 0..9999 as the four ASCII bytes of a little-endian uint32, so
+# its first digit is its first byte in memory; built from one digit an
+# axis, so that no step holds more than the table
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_DIGITS4 = (_DIGIT[:, None, None, None] | _DIGIT[:, None, None] << 8
+            | _DIGIT[:, None] << 16 | _DIGIT << 24).ravel().astype("<u4")
+_DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
+
+
+def _format_cells(x, text):
+    """Write "%.12g" % v of each float v of x, a 1-d array, into the
+    matching column of text, a uint8 array of one column a cell whose
+    first _CELL_BYTES rows are zero: its bytes top-down from row 0, with
+    zeros (NULs) where the text has no byte.
+
+    A finite nonzero v whose decimal exponent E (that of v rounded to 12
+    digits) is in [-4, 11], the range %g writes without an exponent, is
+    formatted in bulk. y = |v| 10^(11 - E) is within 2^-14 of the exact
+    product; when 1e11 <= y < 1e12 - 1 and y's fraction is at least
+    2^-12 from one half, floor(y + 0.5) is the correctly rounded 12-digit
+    significand N that %g writes. Its digits, times 10^(4 + min(E, 0)),
+    are 16 digits d (led by zeros when E < 0), written as
+    d[:E+1] "." d[E+1:] (d[0] "." d[1:] when E < 0) with the fraction's
+    trailing zeros and a bare point dropped, and a "-" in row 0 of a
+    negative v. Each step
+    works on 0/1 byte masks over the whole block, one row of text a digit
+    place. Every other cell (nan, +-inf, +-0, exponent form, a y near a
+    tie or one from E off by one) is formatted alone through "%.12g"."""
+    mag = np.abs(x)
+    # cells outside the bulk range are clamped into it, so every value
+    # below stays finite; their text is replaced at the end
+    y = np.fmin(np.fmax(mag, 1e-4), 1e12 - 1.0)
+    bulk = mag == y
+    exp = np.floor(np.log10(y))
+    exp = np.clip(exp, -4.0, 11.0, out=exp).astype(np.intp)
+    y *= np.take(_POW10, 11 - exp)
+    bulk &= (y >= 1e11) & (y < 1e12 - 1.0)
+    bulk &= np.abs(y - np.floor(y) - 0.5) >= _TIE_MARGIN
+    sig = np.floor(y + 0.5).astype(np.int64)
+    sig *= np.take(_INT_POW10, 4 + np.minimum(exp, 0))
+    groups = np.empty((4, len(x)), np.int64)      # four digits each
+    for k in (3, 2, 1):
+        rest = sig // 10000
+        groups[k] = sig - rest * 10000
+        sig = rest
+    groups[0] = sig
+    # a cell from an E one too low has a first group past 9999, clipped:
+    # its text is replaced
+    digits = (np.take(_DIGITS4, groups, mode="clip").view(np.uint8)
+              .reshape(4, len(x), 4).transpose(0, 2, 1).reshape(16, -1))
+    # kept[c]: a digit at or after place c is not 0
+    kept = np.zeros((17, len(x)), np.uint8)
+    np.not_equal(digits, ord("0"), out=kept[:16].view(bool))
+    for c in range(14, -1, -1):
+        kept[c] |= kept[c + 1]
+    # before[c]: place c is left of the point, which follows place
+    # max(E, 0); those digits go to rows 1.., the rest one row further
+    before = (_DIGIT_INDEX <= np.maximum(exp, 0).astype(np.uint8)
+              ).view(np.uint8)
+    np.multiply(digits, before[:16], out=text[1:17])
+    after = before ^ 1
+    point = after[1:] & before[:-1]
+    point &= kept[1:]
+    point *= ord(".")
+    text[2:18] += point
+    after &= kept
+    after[:16] *= digits
+    text[2:18] += after[:16]
+    text[0] = (x < 0).view(np.uint8) * ord("-")
+    alone = np.flatnonzero(~bulk)
+    if alone.size:
+        cells = np.array(["%.12g" % v for v in x[alone].tolist()],
+                         f"S{_CELL_BYTES}")
+        text[:_CELL_BYTES, alone] = cells.view(np.uint8).reshape(
+            -1, _CELL_BYTES).T
+
+
 def _write_table(path, header: str, columns, labels=None):
     """Write the header line, then one row per index of the float columns,
     each cell in fmt's 12 digits ("%.12g" % x is the text of f"{x:.12g}"),
-    then the row's item of labels, if given, through %s. A chunk of
-    CHUNK_ROWS rows is stacked, and its cells become Python floats, only
-    as it is written; one % formats and one write writes it."""
+    then the row's item of labels, if given, as str() makes it.
+
+    A chunk of CHUNK_ROWS rows is laid out column-major: one uint8 array
+    with a row per text byte and a column per cell (the float columns'
+    cells, then the labels), zero where a cell's text is shorter, and
+    each cell's separator in its last row. _format_cells fills the float
+    cells: in bulk each finite nonzero cell whose decimal exponent is in
+    [-4, 11] and whose scaled significand is at least 2^-12 from a
+    rounding tie, alone through "%.12g" every other. One transpose into
+    row order and one drop of the zero bytes make the chunk's text, and
+    one write writes it."""
     cols = [np.asarray(c, dtype=float) for c in columns]
-    tail = [] if labels is None else [np.asarray(labels, dtype=object)]
-    row_format = ",".join(["%.12g"] * len(cols) + ["%s"] * len(tail)) + "\n"
-    cols += tail
+    floats = len(cols)
+    tail = [] if labels is None else [np.array(
+        [str(v).encode() for v in labels], dtype=bytes)]
+    width = max([_CELL_BYTES] + [t.itemsize for t in tail]) + 1
     with create_text(path) as out:
         out.write(header + "\n")
         for start in range(0, len(cols[0]), CHUNK_ROWS):
-            block = np.column_stack([c[start:start + CHUNK_ROWS]
-                                     for c in cols])
-            out.write((row_format * len(block))
-                      % tuple(block.ravel().tolist()))
+            block = np.stack([c[start:start + CHUNK_ROWS] for c in cols])
+            rows = block.shape[1]
+            text = np.zeros((width, (floats + len(tail)) * rows), np.uint8)
+            text[-1] = ord(",")
+            text[-1, -rows:] = ord("\n")
+            _format_cells(block.ravel(), text[:, :floats * rows])
+            for t in tail:
+                text[:t.itemsize, floats * rows:] = (
+                    t[start:start + rows].view(np.uint8).reshape(rows, -1).T)
+            out.write(text.reshape(width, -1, rows).transpose(2, 1, 0)
+                      .tobytes().translate(None, b"\0").decode())
 
 
 def _rounded(obj):
@@ -443,13 +551,20 @@ def write_featuremap_csv(fmap: FeatureMap, path):
 
 
 def sweep_sidecar(fmap: FeatureMap, run_config: dict) -> dict:
+    """The sweep's record: its grids and settings; the cell counts by
+    (status, stage), in grid order of first appearance; the largest fit
+    residual of the ok cells (None without one); and each failed cell."""
+    counts = Counter((c.status, c.stage) for c in fmap.cells)
+    residuals = [c.features.fit.residual_rms for c in fmap.cells if c.ok]
     return sidecar("feature_map", run_config,
                    alpha_grid=[float(a) for a in fmap.alpha_grid],
                    beta_grid=[float(b) for b in fmap.beta_grid],
                    c_total_ah=fmap.c_total, r_parallel_ohm=fmap.r_parallel,
                    sim_config=fmap.sim_config, smoothing=fmap.smoothing,
-                   n_ok=sum(1 for c in fmap.cells if c.ok),
-                   n_cells=len(fmap.cells),
+                   n_ok=len(residuals), n_cells=len(fmap.cells),
+                   cell_counts=[{"status": status, "stage": stage, "n": n}
+                                for (status, stage), n in counts.items()],
+                   worst_residual_rms_V=max(residuals, default=None),
                    failures=[{"alpha": c.alpha, "beta": c.beta,
                               "status": c.status, "stage": c.stage,
                               "message": c.message}

@@ -450,7 +450,22 @@ def test_sweep_whose_every_cell_fails_keeps_its_record(capsys, tmp_path):
     side = json.loads((tmp_path / "sweep.json").read_text())
     assert (side["n_ok"], side["n_cells"]) == (0, 2)
     assert {f["stage"] for f in side["failures"]} == {"peak_height"}
+    assert side["cell_counts"] == [
+        {"status": "NoPeakError", "stage": "peak_height", "n": 2}]
+    assert side["worst_residual_rms_V"] is None
     assert not (tmp_path / "product_curve.csv").exists()
+
+
+def test_sweep_json_counts_cells_and_gives_the_worst_fit(tmp_path):
+    assert cli.main(["sweep", "--alpha-steps", "3", "--beta-steps", "3",
+                     "--outdir", str(tmp_path)]) == 0
+    side = json.loads((tmp_path / "sweep.json").read_text())
+    assert side["cell_counts"] == [{"status": "ok", "stage": None, "n": 9}]
+    # the same grid swept in process, at the JSON's 12 digits
+    fmap = pairdva.run_sweep(side["alpha_grid"], side["beta_grid"])
+    worst = max(c.features.fit.residual_rms for c in fmap.cells)
+    assert side["worst_residual_rms_V"] == float(fileio.fmt(worst))
+    assert 0.0 < worst < 1e-3
 
 
 def test_sweep_ignores_a_shared_configs_pair_ratios(workdir):

@@ -3,8 +3,11 @@ fmt() of every cell, finite tables round-trip at the writer's 12 digits,
 one corrupt cell or short row is named by its file line and column, and
 a file without a charge column integrates its current like the reference
 trapezoid. The chunked writer matches a one-shot writer across its chunk
-boundaries, a bad cell deep in a long file is still named, and both sides
-stay within a bound of the trace's array bytes in traced memory."""
+boundaries, its bulk formatter writes the bytes of "%.12g" for every
+float (ties, carries, powers of ten and label columns among them), a bad
+cell deep in a long file is still named, and both sides stay within a
+bound of the trace's array bytes in traced memory, the writer also within
+the peak of the one-%-a-chunk writer it replaced."""
 
 import math
 import tracemalloc
@@ -17,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from pairdva import fileio
-from pairdva.pairsim import SimTrace
+from pairdva.pairsim import (SimConfig, SimTrace, make_pair,
+                             simulate_cc_discharge)
 from pairdva.sweep import FeatureMap, ProductBin, ProductCurve, SweepCell
 
 COLUMNS = fileio.TRACE_HEADER.split(",")
@@ -34,6 +38,23 @@ any_float = st.one_of(
     st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308,
                      1.7976931348623157e308]),
     st.integers(-10**17, 10**17).map(float))
+
+
+def nudged(x, ulps):
+    """x moved ulps floats up, or down for a negative ulps."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# 12-digit decimals N 10^k and the ties (N + 1/2) 10^k between them, of
+# either sign, each moved a few ulps: the cells next to a rounding tie
+near_ties = st.builds(
+    lambda n, half, k, sign, ulps: nudged(sign * (n + half) * 10.0 ** k,
+                                          ulps),
+    st.integers(10**11, 10**12 - 1), st.sampled_from([0.0, 0.5]),
+    st.integers(-16, 1), st.sampled_from([1.0, -1.0]), st.integers(-3, 3))
+
 # no letter of nan, inf or an exponent, so float() rejects every word
 words = st.text(alphabet="abcdwxyz", min_size=1, max_size=8)
 # "1_0" is float()'s underscore digit grouping, which the reader rejects
@@ -63,8 +84,8 @@ def reference_trace_csv(rows):
 
 
 @deterministic
-@given(rows=st.lists(st.tuples(*[any_float] * len(COLUMNS)), min_size=1,
-                     max_size=6))
+@given(rows=st.lists(st.tuples(*[st.one_of(any_float, near_ties)]
+                               * len(COLUMNS)), min_size=1, max_size=6))
 def test_writer_text_is_fmt_of_each_cell(csv_path, rows):
     write(rows, csv_path)
     text = csv_path.read_text()
@@ -260,6 +281,73 @@ def test_chunked_product_curve_round_trips(tmp_path):
     assert [b.n for b in back] == [b.n for b in bins]
     assert [b.mean_skewness for b in back] == [
         float(fileio.fmt(b.mean_skewness)) for b in bins]
+
+
+def written_cells(path, values):
+    """The cells the writer makes of values, a one-column table."""
+    fileio._write_table(path, "x", [values])
+    return path.read_text().splitlines()[1:]
+
+
+def test_specials_powers_of_ten_and_carries_match_percent_12g(tmp_path):
+    # the cells written alone (nan, +-inf, +-0, subnormal and exponent-form
+    # magnitudes), 10^k and the values whose 12-digit rounding carries
+    # into a 13th digit (or stops one short of it), a few ulps either
+    # side, both signs
+    edges = [math.nan, math.inf, 0.0, 5e-324, 2.2250738585072014e-308,
+             1e-5, 1.5e300]
+    edges += [10.0 ** k for k in range(-6, 14)]
+    edges += [m * 10.0 ** k for m in (9.9999999999996, 9.99999999999949,
+                                      9.9999999999995)
+              for k in range(-6, 13)]
+    values = [nudged(sign * x, ulps) for x in edges for sign in (1.0, -1.0)
+              for ulps in range(-3, 4)]
+    assert written_cells(tmp_path / "edges.csv", values) == [
+        "%.12g" % v for v in values]
+
+
+def test_whole_and_constant_columns_match_one_shot_writer(tmp_path):
+    # a trace's t_s counts whole seconds from 0 and its i_total_A is one
+    # constant; whole values up to 12 digits and past them, zeros too
+    n = 2 * C + 3
+    k = np.arange(n, dtype=float)
+    cols = [k, np.full(n, -40.0), np.full(n, -40.0 / 3.0), k * 1e6,
+            np.full(n, 1.0), 1.0 - k / n, k * 0.05, np.zeros(n),
+            -(k * 7919.0) ** 3, np.full(n, 4.2)]
+    trace = SimTrace(**dict(zip(FIELDS, cols)))
+    path = tmp_path / "trace.csv"
+    fileio.write_trace_csv(trace, path)
+    assert path.read_text() == one_shot_csv(
+        fileio.TRACE_HEADER, zip(*[c.tolist() for c in cols]), len(FIELDS))
+
+
+def test_labels_of_any_width_follow_the_float_cells(tmp_path):
+    # the label column goes into the same text layout as the floats,
+    # however long its widest item
+    labels = ["ok", "NoPeakError", "", "x" * 45, 7, 10**30]
+    floats = [[1.5, -0.0, math.nan, 1e300, 0.1, 12345.6789],
+              [-2.0, math.inf, 5e-324, 1e-5, 0.000123456789012, 3.0]]
+    path = tmp_path / "labelled.csv"
+    fileio._write_table(path, "a,b,label", floats, labels)
+    assert path.read_text() == one_shot_csv("a,b,label",
+                                            zip(*floats, labels), 2, ",%s")
+
+
+# the tracemalloc peak of write_trace_csv when each 1,024-row chunk was
+# formatted by one %, for the (0.7, 1.6) trace at dt_s 1 and 0.1 alike
+PERCENT_WRITER_PEAK = 614 * 1024
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.1])
+def test_trace_write_peaks_below_the_percent_writer(tmp_path, dt):
+    trace = simulate_cc_discharge(make_pair(0.7, 1.6), SimConfig(dt=dt))
+    tracemalloc.start()
+    try:
+        fileio.write_trace_csv(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PERCENT_WRITER_PEAK
 
 
 def test_spaced_product_curve_header_reads_like_plain_file(tmp_path):

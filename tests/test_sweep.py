@@ -201,6 +201,10 @@ def test_failed_cell_keeps_stage_and_message(monkeypatch, tmp_path):
     assert side["failures"] == [
         {"alpha": 0.9, "beta": 1.0, "status": "FeatureError",
          "stage": "skewness_pipeline", "message": "forced failure"}]
+    assert side["cell_counts"] == [
+        {"status": "FeatureError", "stage": "skewness_pipeline", "n": 1},
+        {"status": "ok", "stage": None, "n": 1}]
+    assert side["worst_residual_rms_V"] == good.features.fit.residual_rms
     fileio.write_featuremap_csv(fmap, tmp_path / "featuremap.csv")
     rows = (tmp_path / "featuremap.csv").read_text().splitlines()
     assert rows[1] == "0.9,1,0.9,nan,nan,FeatureError"
