@@ -217,7 +217,9 @@ def one_shot_csv(header, rows, n_floats, tail=""):
 C = fileio.CHUNK_ROWS
 
 
-@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 1])
+# each side of one, two, four and eight chunks
+@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 1, 4 * C - 1,
+                               4 * C, 4 * C + 1, 8 * C + 1])
 def test_chunked_trace_matches_one_shot_writer(tmp_path, n):
     trace = random_trace(n)
     path = tmp_path / "trace.csv"
