@@ -8,12 +8,24 @@ instead of one Python step at a time, to the bits of the step-by-step loop.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
 def backend():
     return "numpy"
+
+
+def _constant(value):
+    """value as a read-only 0-d array: numpy takes one faster than a float,
+    to the same bits."""
+    constant = np.array(float(value))
+    constant.flags.writeable = False
+    return constant
+
+
+_QUARTER, _HALF, _ONE, _TWO = map(_constant, (0.25, 0.5, 1.0, 2.0))
 
 
 # --- electrode potentials -------------------------------------------------
@@ -36,12 +48,14 @@ class Ocv:
                         (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066))
 
     def __post_init__(self):
-        # Each potential folds its weighted rows by np.subtract.reduce from
-        # a scalar start, in their written order (numpy adds with pairwise
-        # sums; a - (-b) is a + b to the bit): u_pos = p0 - pos_coef . (z,
-        # z^2..z^n, e) for pos_poly over z^0..z^n, du_pos/dz = p1 -
-        # pos_slope . (z..z^(n-1)) + pa pk e, u_neg = neg_base - neg_coef .
-        # (e, tanh_1..tanh_k).
+        # The potentials share one stack of terms over z's shape: z,
+        # z^2..z^n and e_pos, the rows of u_pos, then e_neg and
+        # tanh_1..tanh_k, those of u_neg. Each potential folds its weighted
+        # rows by np.subtract.reduce from a scalar start, in their written
+        # order (numpy adds with pairwise sums; a - (-b) is a + b to the
+        # bit): u_pos = p0 - pos_coef . (z, z^2..z^n, e_pos), du_pos/dz =
+        # p1 - pos_slope . (z..z^(n-1)) + pa pk e_pos, u_neg = neg_base -
+        # neg_coef . (e_neg, tanh_1..tanh_k).
         powers = np.arange(2.0, len(self.pos_poly))
         heights, centres, widths = np.array(self.neg_steps).T
         for name, row in dict(
@@ -51,82 +65,132 @@ class Ocv:
                 neg_m=centres, neg_w=widths, neg_hw=heights / widths).items():
             row.flags.writeable = False
             object.__setattr__(self, name, row)
+        # shaped once for each z.ndim the package evaluates: 0, 1 and 2
+        object.__setattr__(self, "shaped", tuple(map(self.rows, range(3))))
+
+    def rows(self, ndim):
+        """The _Rows of a z with ndim dimensions."""
+        def shaped(*values):
+            row = np.concatenate(values).reshape((-1,) + (1,) * ndim)
+            row.flags.writeable = False
+            return row
+
+        pa, pk, pb = self.pos_exp
+        na, nk, ns, nb = self.neg_exp
+        coef = shaped(self.pos_coef, self.neg_coef)
+        return _Rows(
+            (len(coef),), len(self.pos_coef), shaped(self.pos_powers),
+            shaped(self.neg_m), shaped(self.neg_w), coef,
+            shaped(self.pos_slope), shaped(self.neg_hw), self.pos_poly[0],
+            self.pos_poly[1], self.neg_base,
+            *map(_constant, (pk, pb, ns, nb, -nk, pa * pk, -na * nk * ns)))
+
+
+class _Rows(NamedTuple):
+    """What one evaluation over a z of one ndim reads: an Ocv's rows, each
+    value on its own row over z's shape, and its scalars."""
+
+    n_terms: tuple          # (rows of the terms,)
+    n_pos: int              # rows of u_pos's terms, first
+    powers: np.ndarray      # of z^2..z^n
+    centres: np.ndarray
+    widths: np.ndarray
+    coef: np.ndarray        # pos_coef, then neg_coef
+    slope: np.ndarray       # pos_slope
+    hw: np.ndarray          # neg_hw
+    p0: float
+    p1: float
+    neg_base: float
+    pk: np.ndarray          # the rest 0-d
+    pb: np.ndarray
+    ns: np.ndarray
+    nb: np.ndarray
+    minus_nk: np.ndarray
+    pa_pk: np.ndarray
+    minus_na_nk_ns: np.ndarray
 
 
 OCV = Ocv()    # a study sets kernels.OCV = dataclasses.replace(OCV, ...)
 
 
-def _rows(values, z):
-    """values as an array with one row per value over z's shape."""
-    return values.reshape((-1,) + (1,) * getattr(z, "ndim", 0))
-
-
-def _pos_terms(z):
-    """The rows z, z^2..z^n and the exponential of u_pos over z's shape."""
+def _terms(z):
+    """The stack of terms over z's shape, and the _Rows it was built from."""
+    z = np.asarray(z)
+    shaped = OCV.shaped
+    rows = shaped[z.ndim] if z.ndim < len(shaped) else OCV.rows(z.ndim)
+    k = rows.n_pos
+    t = np.empty(rows.n_terms + z.shape)
+    t[0] = z
+    z = t[0, ...]       # contiguous, as a slice of the integrator's is not
     # np.float_power is the C library's pow, which z**k on a float or a
     # numpy scalar also calls, so the formulas give the same bits on floats
     # and on arrays; numpy's array ** rounds differently in about 5% of cases
-    _, pk, pb = OCV.pos_exp
-    t = np.empty((len(OCV.pos_coef),) + getattr(z, "shape", ()))
-    t[0] = z
-    np.float_power(z, _rows(OCV.pos_powers, z), out=t[1:-1])
-    np.exp(pk * (1.0 - z) - pb, out=t[-1, ...])
-    return t
+    np.float_power(z, rows.powers, out=t[1:k - 1])
+    # e_pos = exp(pk (1 - z) - pb) and e_neg = exp(-nk (ns z + nb)), side by
+    # side
+    exps, pos, neg = t[k - 1:k + 1], t[k - 1, ...], t[k, ...]
+    np.subtract(_ONE, z, out=pos)
+    pos *= rows.pk
+    pos -= rows.pb
+    np.multiply(rows.ns, z, out=neg)
+    neg += rows.nb
+    neg *= rows.minus_nk
+    np.exp(exps, out=exps)
+    tanhs = t[k + 1:]
+    np.subtract(z, rows.centres, out=tanhs)
+    tanhs /= rows.widths
+    np.tanh(tanhs, out=tanhs)
+    return t, rows
 
 
-def _neg_terms(z):
-    """The rows e and tanh_1..tanh_k of u_neg over z's shape."""
-    _, nk, ns, nb = OCV.neg_exp
-    t = np.empty((len(OCV.neg_coef),) + getattr(z, "shape", ()))
-    np.exp(-nk * (ns * z + nb), out=t[0, ...])
-    np.tanh((z - _rows(OCV.neg_m, z)) / _rows(OCV.neg_w, z), out=t[1:])
-    return t
+def _potentials(t, rows):
+    """u_pos and u_neg from the terms."""
+    weighted = rows.coef * t
+    k = rows.n_pos
+    return (np.subtract.reduce(weighted[:k], axis=0, initial=rows.p0),
+            np.subtract.reduce(weighted[k:], axis=0, initial=rows.neg_base))
 
 
-def _pos(terms):
-    return np.subtract.reduce(_rows(OCV.pos_coef, terms[0]) * terms, axis=0,
-                              initial=OCV.pos_poly[0])
-
-
-def _neg(terms):
-    return np.subtract.reduce(_rows(OCV.neg_coef, terms[0]) * terms, axis=0,
-                              initial=OCV.neg_base)
-
-
-def _slope(z, pos_terms, neg_terms):
-    """d(u_pos - u_neg)/dz from the terms the potentials share."""
-    pa, pk, _ = OCV.pos_exp
-    na, nk, ns, _ = OCV.neg_exp
-    dpos = (np.subtract.reduce(_rows(OCV.pos_slope, z) * pos_terms[:-2],
-                               axis=0, initial=OCV.pos_poly[1])
-            + pa * pk * pos_terms[-1])
+def _slope(t, rows):
+    """d(u_pos - u_neg)/dz from the terms, which it overwrites with its own
+    rows: pos_slope z..z^(n-1) and pa pk e_pos of du_pos/dz, then -na nk ns
+    e_neg and neg_hw (1 - tanh^2) of du_neg/dz."""
+    k = rows.n_pos
+    pos, e_pos, neg = t[:k - 2], t[k - 1, ...], t[k:]
+    e_neg, tanhs = t[k, ...], t[k + 1:]
+    pos *= rows.slope
+    e_pos *= rows.pa_pk
+    e_neg *= rows.minus_na_nk_ns
     # sech^2 written as 1 - tanh^2 so large arguments cannot overflow
-    e, tanhs = neg_terms[0], neg_terms[1:]
-    dneg = np.subtract.reduce(np.concatenate((
-        [-na * nk * ns * e], _rows(OCV.neg_hw, z) * (1.0 - tanhs * tanhs))))
-    return dpos - dneg
+    tanhs *= tanhs
+    np.subtract(_ONE, tanhs, out=tanhs)
+    tanhs *= rows.hw
+    return ((np.subtract.reduce(pos, axis=0, initial=rows.p1) + e_pos)
+            - np.subtract.reduce(neg, axis=0))
 
 
 def u_pos(z):
-    return _pos(_pos_terms(z))
+    return _potentials(*_terms(z))[0]
 
 
 def u_neg(z):
-    return _neg(_neg_terms(z))
+    return _potentials(*_terms(z))[1]
 
 
 def ocv(z):
-    return u_pos(z) - u_neg(z)
+    pos, neg = _potentials(*_terms(z))
+    return pos - neg
 
 
 def docv_dz(z):
-    return _slope(z, _pos_terms(z), _neg_terms(z))
+    return _slope(*_terms(z))
 
 
 def ocv_and_slope(z):
     """ocv(z) and docv_dz(z), bit for bit, from one set of terms."""
-    tp, tn = _pos_terms(z), _neg_terms(z)
-    return _pos(tp) - _neg(tn), _slope(z, tp, tn)
+    t, rows = _terms(z)
+    pos, neg = _potentials(t, rows)
+    return pos - neg, _slope(t, rows)
 
 
 # --- discharge integration -------------------------------------------------
@@ -163,6 +227,13 @@ def ocv_and_slope(z):
 # repeats its increment: the run's one fresh guess. The result is the
 # loop's trajectory exactly, not to a tolerance: the features downstream
 # react to a last-digit change of one trace sample.
+#
+# A pass also has a fixed cost, whatever its width, in numpy call
+# overhead: about 130 us on (0.7, 1.6) at WINDOW = 8 (the run's time over
+# its 2,525 passes, 2 cores), against 200 us in the same minutes before
+# the OCV's rows were shaped once per curve, the scalars became 0-d
+# arrays, the capacities stopped broadcasting and a pass stopped building
+# end codes where window-wide tests rule every end out.
 
 WINDOW = 512         # width of the window; ~0.6 kB of work per step
 SOC_SLACK = 1e-9     # how far past [0, 1] a step may take an SOC
@@ -204,29 +275,37 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     # is the rank-one u w^T with u = dk_di1 and w = di1/dz
     dk_di1 = np.array([[1.0], [-1.0]]) / caps
     r_tot = r1 + r2
-
-    # the split's two currents from the stacked OCVs u in one array:
-    # (delta + r2 i_total) / r_tot, (-delta + r1 i_total) / r_tot
-    signs = np.array([[1.0], [-1.0]])
-    offsets = np.array([[r2 * i_total], [r1 * i_total]])
-    v_offset = r1 * r2 * i_total / r_tot
     di1_du = np.array([[-1.0], [1.0]]) / r_tot
+    # the scalars of the array arithmetic as 0-d arrays
+    (dt_, half_dt, sixth_dt, dk_1, dk_2, r_1, r_2, sum_r, offset_1,
+     offset_2, v_offset) = map(_constant, (
+         dt, 0.5 * dt, dt / 6.0, *dk_di1[:, 0], r1, r2, r_tot, r2 * i_total,
+         r1 * i_total, r1 * r2 * i_total / r_tot))
+    dt_dk_di1 = (_constant(dt * dk_1), _constant(dt * dk_2))
 
     def currents(u):
-        return (signs * (u[1] - u[0]) + offsets) / r_tot
+        """The split's currents from the stacked OCVs u: (delta + r2
+        i_total) / r_tot and (r1 i_total - delta) / r_tot."""
+        delta = u[1] - u[0]
+        i = np.empty_like(u)
+        np.add(delta, offset_1, out=i[0])
+        # the bits of -delta + r1 i_total
+        np.subtract(offset_2, delta, out=i[1])
+        i /= sum_r
+        return i
 
     def step(x):
-        """One RK4 step from each column of x: the increments, the OCV
-        slopes, and the stage-1 currents and terminal voltage."""
+        """One RK4 step from each column of x: the increments, the OCVs
+        and OCV slopes there, and the stage-1 currents."""
+        caps_x = np.empty(x.shape)      # caps over x, not broadcast
+        caps_x[...] = caps
         u, du = ocv_and_slope(x)
         i = currents(u)
-        k1 = i / caps
-        k2 = currents(ocv(x + 0.5 * dt * k1)) / caps
-        k3 = currents(ocv(x + 0.5 * dt * k2)) / caps
-        k4 = currents(ocv(x + dt * k3)) / caps
-        inc = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # v_t = (r1 u2 + r2 u1) / r_tot + r1 r2 i_total / r_tot
-        return inc, du, i, (r1 * u[1] + r2 * u[0]) / r_tot + v_offset
+        k1 = i / caps_x
+        k2 = currents(ocv(x + half_dt * k1)) / caps_x
+        k3 = currents(ocv(x + half_dt * k2)) / caps_x
+        k4 = currents(ocv(x + dt_ * k3)) / caps_x
+        return sixth_dt * (k1 + _TWO * k2 + _TWO * k3 + k4), u, du, i
 
     def window(x0, inc, a=0.0, b=0.0):
         """x0 followed by the step-by-step sums of the increments, the last
@@ -240,11 +319,12 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         n = inc.shape[1]
         steps[:, 0] = x0
         steps[:, 1:n + 1] = inc
-        steps[:, n + 1:] = inc[:, -1:]
         if b:
             j = np.arange(1.0, steps.shape[1] - n)
-            steps[:, n + 1:] += dk_di1 * (
-                b * ((1.0 + a) ** j - 1.0) / a if a else b * j)
+            tail = (b / a) * ((1.0 + a) ** j - 1.0) if a else b * j
+            np.add(inc[:, -1:], dk_di1 * tail, out=steps[:, n + 1:])
+        else:
+            steps[:, n + 1:] = inc[:, -1:]
         return np.add.accumulate(steps, axis=1)
 
     def newton(inc, du, defect):
@@ -259,29 +339,45 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
         # g2 = w_m + h_m/2 g1, g3 = w_m + h_m/2 g2, g4 = w_4 + h_4 g3, with
         # h = dt dk_di1.w; w_1 from the step's state, w_4 from the next
         # state's (the last state's own) and w_m from their mean
-        w1 = di1_du * du
-        w4 = np.concatenate((w1[:, 1:], w1[:, -1:]), axis=1)
-        wm = 0.5 * (w1 + w4)
-        hm, h4 = dt * (dk_di1 * wm).sum(0), dt * (dk_di1 * w4).sum(0)
-        g2 = wm + 0.5 * hm * w1
-        g3 = wm + 0.5 * hm * g2
-        rho = (dt / 6.0) * (w1 + 2.0 * g2 + 2.0 * g3 + w4 + h4 * g3)
-        d = defect.cumsum(1)
-        a = (dk_di1 * rho).sum(0)
-        g = (1.0 + a).cumprod()
-        s = g * ((rho * d).sum(0) / g).cumsum()     # S_1..S_m
-        # rho_k.delta_k = b_k + a_k S_k = S_{k+1} - S_k
-        ds = diffs[:len(s)]
-        ds[:1] = s[:1]
-        np.subtract(s[1:], s[:-1], out=ds[1:])
-        fix = inc + dk_di1 * ds
-        return fix, a[-1], rho[:, -1] @ fix[:, -1]
+        m = inc.shape[1]
+        w = np.empty((2, m + 1))
+        np.multiply(di1_du, du, out=w[:, :m])
+        w[:, m] = w[:, m - 1]
+        h = w[0] * dt_dk_di1[0]      # dt dk_di1.w
+        h += w[1] * dt_dk_di1[1]
+        w1, w4, h4 = w[:, :-1], w[:, 1:], h[1:]
+        w14 = w1 + w4
+        wm = _HALF * w14
+        half_hm = _QUARTER * (h[:-1] + h4)
+        g2 = half_hm * w1
+        g2 += wm
+        g3 = half_hm * g2
+        g3 += wm
+        rho = h4 * g3           # w1 + 2 g2 + 2 g3 + w4 + h4 g3
+        rho += _TWO * (g2 + g3)
+        rho += w14
+        rho *= sixth_dt
+        a = rho[0] * dk_1
+        a += rho[1] * dk_2
+        b = rho * np.add.accumulate(defect, axis=1)
+        b = b[0] + b[1]
+        g = np.multiply.accumulate(_ONE + a)
+        # S_0..S_m; rho_k.delta_k = b_k + a_k S_k = S_{k+1} - S_k
+        s = np.empty(m + 1)
+        s[0] = 0.0
+        np.multiply(g, np.add.accumulate(b / g), out=s[1:])
+        fix = dk_di1 * (s[1:] - s[:-1])
+        fix += inc
+        return fix, a[-1], rho[0, -1] * fix[0, -1] + rho[1, -1] * fix[1, -1]
 
-    def record(x, nxt, i, v):
-        """Write samples start.. of states x, stepping to nxt, into the
-        buffers; the samples through the first end, and its code or 0."""
+    def record(x, nxt, i, u):
+        """Write samples start.. of states x, stepping to nxt, with
+        currents i and OCVs u into the buffers; the samples through the
+        first end, and its code or 0."""
         nonlocal watch, stop_at, last
-        end = start + len(v)
+        end = start + x.shape[1]
+        # v_t = (r1 u2 + r2 u1) / r_tot + r1 r2 i_total / r_tot
+        v = (r_1 * u[1] + r_2 * u[0]) / sum_r + v_offset
         zs[:, start:end] = x
         cs[:, start:end] = i
         vs[start:end] = v
@@ -291,6 +387,13 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
                 watch = False
                 stop_at = max(start + k + steps_past, steps_min)
                 last = min(last, stop_at + 1)
+        # no end can fall here: each test fails on a NaN, which takes the
+        # full check
+        if ((end - 1) * dt < t_max and end - 1 < stop_at
+                and not np.count_nonzero(v <= v_cutoff)
+                and x.min() > soc_floor
+                and nxt.min() >= -SOC_SLACK and nxt.max() <= 1.0 + SOC_SLACK):
+            return end, 0
         index = np.arange(start, end)
         codes = end_codes(
             v_cutoff=v <= v_cutoff, soc_floor=x.min(0) <= soc_floor,
@@ -320,21 +423,26 @@ def pair_rk4(z1_0, z2_0, c1_as, c2_as, r1, r2, i_total,
     cap = min(last + 2, n_max)
     zs, cs, vs = np.empty((2, cap)), np.empty((2, cap)), np.empty(cap)
     start = 0
-    diffs = np.empty(WINDOW)        # newton's S_{k+1} - S_k
     # trial states of a window may overflow, and the running product g
     # of a long window underflow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the first window: the first state, held for one step
         x = np.repeat(np.array([[z1_0], [z2_0]], dtype=float), 2, axis=1)
         while True:
-            inc, du, i, v = step(x[:, :-1])
-            nxt = x[:, :-1] + inc
+            states = x[:, :-1]
+            inc, u, du, i = step(states)
+            nxt = states + inc
             defect = nxt - x[:, 1:]
             m = defect.shape[1]
-            cut = _first(~np.isfinite(defect).all(0), m)
-            keep = min(m, 1 + _first((defect != 0.0).any(0), m))
+            # each step's largest defect, NaN where one is NaN
+            err = np.abs(defect)
+            err = np.maximum(err[0], err[1])
+            finite = np.isfinite(err)
+            cut = int(finite.argmin())
+            cut = m if finite[cut] else cut
+            keep = min(m, 1 + _first(err != 0.0, m))
             n, code = record(x[:, :keep], nxt[:, :keep], i[:, :keep],
-                             v[:keep])
+                             u[:, :keep])
             start += keep
             if code or start == n_max:
                 return (zs[0, :n], zs[1, :n], cs[0, :n], cs[1, :n], vs[:n],

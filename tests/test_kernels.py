@@ -130,6 +130,20 @@ def test_the_curve_is_one_frozen_value():
         row = getattr(kernels.OCV, name)
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 1.0
+    # so are the rows shaped from them for a float, a 1-d and a 2-d z
+    for rows in kernels.OCV.shaped:
+        for row in rows:
+            if isinstance(row, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    row[...] = 1.0
+
+
+def test_a_three_dimensional_z_gives_the_same_bits():
+    # rows are shaped once for z.ndim 0, 1 and 2; a 3-d z shapes its own
+    z = np.linspace(-0.5, 1.5, 24)
+    for f in (ocv, docv_dz, u_pos, u_neg,
+              lambda zz: kernels.ocv_and_slope(zz)[1]):
+        assert np.array_equal(f(z.reshape(2, 3, 4)), f(z).reshape(2, 3, 4))
 
 
 def test_a_replaced_curve_keeps_its_slope(monkeypatch):

@@ -547,6 +547,52 @@ def test_tied_stops_take_the_loops_order(first, tie, reasons):
     assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
 
 
+def _charge_past_full(monkeypatch):
+    # charging from 0.99 in 60 s steps: the step out of the last sample
+    # takes an SOC past 1 + 1e-9
+    args = _tie_args(z1_0=0.99, z2_0=0.99, i_total=40.0, dt=60.0)
+    got, want = _rk4_in_buffers(**args), _pair_rk4_loop(**args)
+    assert got[5:] == want[5:] and want[6] == 4
+    assert all(np.array_equal(a, b) for a, b in zip(got[:5], want[:5]))
+
+
+@pytest.mark.parametrize("run, window, on_last_kept", [
+    (lambda mp: assert_solve_matches_loop(mp, 0.7, 1.6, SimConfig()),
+     None, False),
+    (lambda mp: assert_solve_matches_loop(mp, 1.0, 1.0, SimConfig()),
+     None, False),
+    (lambda mp: assert_solve_matches_loop(mp, 0.1, 1.0,
+                                          SimConfig(c_rate=2.0)),
+     None, False),
+    # four steps a window: the run's end is the last sample its pass keeps
+    (lambda mp: assert_solve_matches_loop(mp, 0.7, 1.6,
+                                          SimConfig(t_max=300.0)),
+     4, True),
+    (_charge_past_full, None, False),
+], ids=["imbalanced", "balanced", "cut_windows", "end_on_last_kept",
+        "excursion"])
+def test_end_codes_are_built_on_one_pass(monkeypatch, run, window,
+                                         on_last_kept):
+    # a pass builds the end-code rows of its kept samples only when a
+    # window-wide test says an end may fall there, so a run builds them
+    # once, on its last pass
+    built = []
+    end_codes = kernels.end_codes
+
+    def counting(**ends):
+        built.append(end_codes(**ends))
+        return built[-1]
+
+    monkeypatch.setattr(kernels, "end_codes", counting)
+    if window is not None:
+        monkeypatch.setattr(kernels, "WINDOW", window)
+    run(monkeypatch)
+    assert len(built) == 1
+    if on_last_kept:
+        ends = np.flatnonzero(built[0])
+        assert len(built[0]) > 1 and ends[0] == len(built[0]) - 1
+
+
 @pytest.mark.parametrize("past, cutoff_tie", [
     ((3.7, 59, 0), False), ((3.7, 59, 0), True),
     ((3.7, 0, 0), False), ((3.7, 59, 7500), False)],
