@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, FeatureError, FitWarning, SpanError
 from .pairsim import _require_positive
 from .signal import (SmoothingConfig, VOLTAGE_WINDOW, dvdq_curve,
-                     peak_height, savgol_smooth)
+                     peak_height, savgol_smooth, uniform_gradient)
 
 DENSITY_FLOOR = 0.005      # 1/Ah, below which samples are discarded
 MIN_SURVIVORS = 10
@@ -72,37 +72,51 @@ class PeakFeatures:
     window: tuple = VOLTAGE_WINDOW
 
 
-def _residual(theta, q, v, step=None):
-    """The model at theta minus v. step, when given, receives the q - e
-    and tanh((q - e)/f) it takes, in its two rows, from which _jacobian
-    writes the Jacobian at theta."""
+def _residual(theta, q, v, step, work):
+    """Write the model at theta minus v into step's row 2, and the q - e
+    and tanh((q - e)/f) it takes into rows 0 and 1, from which _jacobian
+    writes the Jacobian at theta; work is a scratch row. Each step is an
+    operation of a + b*q + c*q*q - d*tanh((q - e)/f) - v, in its order.
+    Returns the residual row."""
     a, b, c, d, e, f = theta.tolist()
-    qe, t = np.empty((2, len(q))) if step is None else step
+    qe, t, r = step
     np.subtract(q, e, out=qe)
-    np.tanh(qe / f, out=t)
-    return a + b * q + c * q * q - d * t - v
+    np.divide(qe, f, out=t)
+    np.tanh(t, out=t)
+    np.multiply(q, b, out=r)
+    r += a
+    np.multiply(q, c, out=work)
+    work *= q
+    r += work
+    np.multiply(t, d, out=work)
+    r -= work
+    r -= v
+    return r
 
 
-def _jacobian(J, theta, step):
+def _jacobian(J, theta, step, work):
     """Write the model's Jacobian at theta into J's columns 3-5, from the
     q - e and tanh((q - e)/f) of _residual's step; columns 0-2 hold 1, q
-    and q^2 whatever theta is."""
+    and q^2 whatever theta is. work is a scratch row."""
     _, _, _, d, _, f = theta.tolist()
-    qe, t = step
-    ds = d * (1.0 - t * t)                    # d sech^2
+    qe, t, _ = step
+    np.multiply(t, t, out=work)
+    np.subtract(1.0, work, out=work)
+    work *= d                                 # d sech^2
     np.negative(t, out=J[:, 3])
-    np.divide(ds, f, out=J[:, 4])
-    np.divide(ds * qe, f * f, out=J[:, 5])
+    np.divide(work, f, out=J[:, 4])
+    work *= qe
+    np.divide(work, f * f, out=J[:, 5])
 
 
-def _scaled_gradient(J, r, v_scale):
+def _scaled_gradient(J, r, rr, v_scale):
     # Optimality measure: cosine-like |J^T r|_inf / (|J|_F |r|_2), the
     # norms taken as np.linalg.norm takes them, sqrt(x.dot(x)) over the
-    # flat array. When the residual is at round-off level the direction of
-    # r is noise, so the point is stationary by construction and the
-    # measure is defined as 0.
-    rnorm = math.sqrt(r.dot(r))
-    if rnorm / np.sqrt(len(r)) < 1e-10 * v_scale:
+    # flat array; rr is r @ r, the same dot product. When the residual is
+    # at round-off level the direction of r is noise, so the point is
+    # stationary by construction and the measure is defined as 0.
+    rnorm = math.sqrt(rr)
+    if rnorm / math.sqrt(len(r)) < 1e-10 * v_scale:
         return 0.0
     flat = J.reshape(-1)
     jnorm = math.sqrt(flat.dot(flat))
@@ -111,11 +125,11 @@ def _scaled_gradient(J, r, v_scale):
     return float(np.abs(J.T @ r).max() / (jnorm * rnorm))
 
 
-def _default_init(q, v, e0=None):
-    """Start values; e0, when given, is the step centre and the steepest
-    drop is not looked for."""
-    A = np.column_stack((np.ones_like(q), q, q * q))
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
+def _default_init(trend, q, v, e0=None):
+    """Start values; trend holds the columns 1, q and q^2 of the quadratic
+    fit, and e0, when given, is the step centre and the steepest drop is
+    not looked for."""
+    coef, *_ = np.linalg.lstsq(trend, v, rcond=None)
     if e0 is None:
         slope = np.gradient(v, q)
         e0 = float(q[int(np.argmax(-slope))])   # steepest drop marks the step
@@ -144,26 +158,12 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
     unknown = set(init_hints) - set(_PARAM_NAMES)
     if unknown:
         raise ConfigError(f"unknown init hints: {sorted(unknown)}")
-    theta = _default_init(q, v, init_hints.get("e"))
-    for i, name in enumerate(_PARAM_NAMES):
-        if name in init_hints:
-            theta[i] = float(init_hints[name])
-    if theta[5] == 0.0:
-        raise ConfigError("initial f must be nonzero")
-
-    v_scale = max(1.0, float(np.max(np.abs(v))))
-    # each residual writes its q - e and tanh into a step buffer; the
-    # accepted trial's buffer becomes the one the Jacobian is written from
-    n = len(q)
-    step, spare = np.empty((2, n)), np.empty((2, n))
-    r = _residual(theta, q, v, step)
-    cost = float(r @ r)
-    lam = 1e-3
-    n_iter = 0
     # the damped normal equations are solved as the augmented least-squares
     # system [J; sqrt(lam) diag(col)] dx = [-r; 0], written in place: J's
-    # constant columns once, its other columns and -r once per iteration,
-    # the diagonal once per damping try
+    # constant columns once (the start's quadratic fit reads them too), its
+    # other columns and -r once per iteration, the diagonal once per damping
+    # try; rcond is the eps * max(n + 6, 6) that lstsq takes for rcond=None
+    n = len(q)
     A = np.zeros((n + 6, 6))
     rhs = np.zeros(n + 6)
     J = A[:n]
@@ -171,19 +171,38 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
     J[:, 1] = q
     J[:, 2] = q * q
     diag = A[n:].reshape(-1)[::7]       # a view of the lower block's diagonal
+    squares = np.empty_like(J)
+    rcond = np.finfo(np.float64).eps * (n + 6)
+
+    theta = _default_init(J[:, :3], q, v, init_hints.get("e"))
+    for i, name in enumerate(_PARAM_NAMES):
+        if name in init_hints:
+            theta[i] = float(init_hints[name])
+    if theta[5] == 0.0:
+        raise ConfigError("initial f must be nonzero")
+
+    v_scale = max(1.0, float(np.max(np.abs(v))))
+    # each residual writes its q - e, tanh and residual into a step buffer;
+    # the accepted trial's buffer becomes the one the Jacobian is written
+    # from, and its residual row is r
+    step, spare, work = np.empty((3, n)), np.empty((3, n)), np.empty(n)
+    r = _residual(theta, q, v, step, work)
+    cost = float(r @ r)
+    lam = 1e-3
+    n_iter = 0
     for n_iter in range(1, FIT_MAX_ITER + 1):
-        _jacobian(J, theta, step)
-        if _scaled_gradient(J, r, v_scale) < FIT_GTOL:
+        _jacobian(J, theta, step, work)
+        if _scaled_gradient(J, r, cost, v_scale) < FIT_GTOL:
             break
-        col = np.sqrt((J * J).sum(axis=0))
+        col = np.sqrt(np.multiply(J, J, out=squares).sum(axis=0))
         col[col < 1e-30] = 1.0
         np.negative(r, out=rhs[:n])
         improved = False
         for _ in range(25):
             np.multiply(math.sqrt(lam), col, out=diag)
-            dx, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+            dx, *_ = np.linalg.lstsq(A, rhs, rcond=rcond)
             trial = theta + dx
-            r_t = _residual(trial, q, v, spare)
+            r_t = _residual(trial, q, v, spare, work)
             cost_t = float(r_t @ r_t)
             if math.isfinite(cost_t) and cost_t < cost:
                 theta, r, cost = trial, r_t, cost_t
@@ -201,8 +220,8 @@ def fit_positive_surrogate(q, v, init_hints: dict = None,
         theta[3] = -theta[3]
         theta[5] = -theta[5]
         np.tanh(step[0] / theta[5], out=step[1])
-    _jacobian(J, theta, step)
-    scaled = _scaled_gradient(J, r, v_scale)
+    _jacobian(J, theta, step, work)
+    scaled = _scaled_gradient(J, r, cost, v_scale)
     rms = float(np.sqrt(cost / len(q)))
     converged = bool(scaled < 1e-8 and rms <= fit_tol)
     if abs(theta[3]) < 1e-6:
@@ -258,7 +277,7 @@ def skewness_pipeline(q, v, fit: SurrogateFit,
     p_of_q = fit.a + fit.b * q + fit.c * q * q
     n_sig = p_of_q - v
     n_smooth = savgol_smooth(n_sig, config.sg_window, config.sg_order)
-    dndq = np.gradient(n_smooth, dq)
+    dndq = uniform_gradient(n_smooth, dq)
     total = float(dndq.sum() * dq)
     if total <= 0.0:
         raise FeatureError("step-signal density has nonpositive total mass")

@@ -193,6 +193,18 @@ def savgol_smooth(y, window: int, order: int, lo: int = 0,
     return out
 
 
+def uniform_gradient(f, dx: float) -> np.ndarray:
+    """np.gradient(f, dx) of a 1-d float array f of two or more samples at
+    a uniform spacing dx, by its arithmetic: (f[k + 1] - f[k - 1]) / (2 dx)
+    inside and the one-sided differences over dx at the ends."""
+    out = np.empty_like(f)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dx
+    out[0] = (f[1] - f[0]) / dx
+    out[-1] = (f[-1] - f[-2]) / dx
+    return out
+
+
 def _window_run(v, v_lo: float, v_hi: float) -> slice:
     """The samples of the longest run of consecutive v_lo <= v <= v_hi,
     the first of equally long runs."""
@@ -229,7 +241,7 @@ def dvdq_curve(trace, config: SmoothingConfig = None,
     run = slice(0, len(q)) if window is None else _window_run(v, *window)
     lo, hi = max(0, run.start - 1), min(len(q), run.stop + 1)
     v_smooth = savgol_smooth(v, config.sg_window, config.sg_order, lo, hi)
-    dvdq = -np.gradient(v_smooth, config.dq_ah)
+    dvdq = -uniform_gradient(v_smooth, config.dq_ah)
     return DvDqCurve(q=q[run], v=v[run], dq=config.dq_ah,
                      dvdq=dvdq[run.start - lo:run.stop - lo])
 

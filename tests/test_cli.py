@@ -22,20 +22,20 @@ GOLDEN = Path(__file__).parent / "data" / "golden_baseline_features.json"
 PKG_ROOT = str(Path(pairdva.__file__).resolve().parents[1])
 
 
-def run_python(args, cwd, env_extra=None):
+def run_python(args, cwd, env_extra=None, stdin=None):
     env = os.environ.copy()
     env.pop("PAIRDVA_OUTDIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PKG_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, *args],
+    return subprocess.run([sys.executable, *args], input=stdin,
                           capture_output=True, text=True, cwd=str(cwd),
                           env=env, timeout=600)
 
 
-def run_cli(args, cwd, env_extra=None):
-    return run_python(["-m", "pairdva", *args], cwd, env_extra)
+def run_cli(args, cwd, env_extra=None, stdin=None):
+    return run_python(["-m", "pairdva", *args], cwd, env_extra, stdin)
 
 
 def stderr_json(proc):
@@ -610,6 +610,23 @@ def test_byte_order_mark_gives_the_same_features(workdir, sim_dir):
     got = run_cli(["features", str(marked)], cwd=workdir)
     assert got.returncode == 0, got.stderr
     assert json.loads(got.stdout) == json.loads(want.stdout)
+
+
+@pytest.mark.parametrize("columns", [(0, 1, 9), None],
+                         ids=["slim", "full"])
+def test_piped_trace_reads_like_the_file(workdir, sim_dir, columns):
+    # a pipe cannot be read from its start again, so the reader parses
+    # the rows past the header from the open file, as it does a file's
+    text = (sim_dir / "trace.csv").read_text()
+    if columns:
+        text = "".join(",".join(ln.split(",")[k] for k in columns) + "\n"
+                       for ln in text.splitlines())
+    path = workdir / f"pipe_{len(columns or ())}.csv"
+    path.write_text(text)
+    want = run_cli(["features", str(path)], cwd=workdir)
+    got = run_cli(["features", "/dev/stdin"], cwd=workdir, stdin=text)
+    assert want.returncode == 0 and got.returncode == 0, got.stderr
+    assert got.stdout == want.stdout
 
 
 def assert_one_read_error(proc, message):

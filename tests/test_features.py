@@ -417,6 +417,8 @@ def test_fit_equals_reference_loop(balanced_trace, tmp_path):
     # a far-off start that the damping must back away from
     q = np.linspace(40.0, 60.0, 400)
     cases.append((q, surrogate(q, **TRUE), {"d": 0.5, "e": 41.0, "f": 0.05}))
+    # no hint: the start takes the steepest drop for e
+    cases.append((*cases[0][:2], {}))
     retries = 0
     for q, v, hints in cases:
         got = fit_positive_surrogate(q, v, init_hints=hints)

@@ -636,7 +636,7 @@ def test_solve_needs_few_ocv_evaluations(monkeypatch, alpha, beta, cfg, most):
     # a fixed-point iteration, with no Newton correction, and a window not
     # cut before its non-finite trial states both reach the loop's
     # trajectory, so only the number of OCV evaluations tells them apart:
-    # 330, 198 and 70 here (two of them outside the integrator), 866, 610
+    # 330, 194 and 70 here (two of them outside the integrator), 866, 610
     # and 218 with no correction, 2610 for (0.1, 1) at 2C with no cut (at
     # 1C its window is never cut); 382, 214 and 90 with the step Jacobian
     # taken from stage 1 alone and a window filled out with copies of its

@@ -9,7 +9,7 @@ from pairdva import (ConfigError, DvDqCurve, EmptyWindowError, FormatError,
                      NoPeakError, SimTrace, SmoothingConfig, SpanError,
                      downselect_window, dvdq_curve, peak_height,
                      resample_uniform_q)
-from pairdva.signal import savgol_smooth
+from pairdva.signal import savgol_smooth, uniform_gradient
 
 
 def synthetic_trace(q, v):
@@ -185,6 +185,14 @@ def test_smoother_reproduces_random_cubics():
         curve = dvdq_curve(synthetic_trace(q_raw, poly(q_raw)))
         expected = -np.gradient(poly(curve.q), curve.dq)
         assert np.abs(curve.dvdq - expected).max() < 1e-9
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1),
+       dx=st.floats(1e-6, 1e3))
+def test_uniform_gradient_is_np_gradient_bit_for_bit(n, seed, dx):
+    f = random_walk(n, seed)
+    assert np.array_equal(uniform_gradient(f, dx), np.gradient(f, dx))
 
 
 def test_tanh_step_peak_location_and_height():
