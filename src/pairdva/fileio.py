@@ -14,13 +14,15 @@ half; every other cell (nan, +-inf, +-0, exponent form, a near-tie, an
 exponent off by one) is formatted alone through "%.12g". Every output
 is opened by create_text, which reports a
 file it cannot write as a FormatError. A reader takes the header line,
-then hands the open file to np.loadtxt, so it holds no copy of the text;
-only a file that parse rejects (a whitespace-only line, a malformed or a
-non-finite cell) is read again, line by line, to drop those lines or to
-name the first bad row's file line and column. Every input is opened by
-open_text, which decodes UTF-8 and drops a leading byte-order mark, as
-spreadsheet exports write one, and its lines are numbered by
-numbered_lines alone.
+then hands the open file to np.loadtxt, so it holds no copy of a regular
+file's text; a pipe cannot be rewound, so its text is held in memory
+until the read returns. Every later pass reads the same handle from its
+start: only a file that parse rejects (a whitespace-only line, a
+malformed or a non-finite cell) or that breaks a rule of its format is
+read again, line by line, to drop those lines or to name a row's file
+line (and column). Every input is opened by open_text, which decodes
+UTF-8 and drops a leading byte-order mark, as spreadsheet exports write
+one, and its lines are numbered by numbered_lines alone.
 
 Each format is stated once, as a table below: TRACE_COLUMNS for the trace
 CSV, FEATURES_KEYS for the features JSON, FEATUREMAP_COLUMNS for the
@@ -29,6 +31,7 @@ writer, and its reader where it has one, follow the table.
 """
 
 import dataclasses
+import io
 import json
 import math
 from collections import Counter
@@ -316,16 +319,12 @@ def numbered_lines(text):
             yield no, line.rstrip("\n")
 
 
-def _data_rows(path):
-    """numbered_lines of the CSV at path past its header, read again: only
-    for a file whose rows fail the fast parse or a rule of its format."""
-    with open_text(path) as csv:
-        yield from islice(numbered_lines(csv), 1, None)
-
-
-def _line_no(path, k) -> int:
-    """The file line number of data row k (from 0) of the CSV at path."""
-    return next(islice(_data_rows(path), k, None))[0]
+def _reread(csv):
+    """numbered_lines of the open CSV csv past its header, read from its
+    start again: only for a file whose rows fail the fast parse or a rule
+    of its format."""
+    csv.seek(0)
+    return islice(numbered_lines(csv), 1, None)
 
 
 def _is_number(cell: str) -> bool:
@@ -380,12 +379,17 @@ def _parse(lines, width):
     return data if shaped and np.isfinite(data).all() else None
 
 
+@contextmanager
 def _read_table(path, check_header):
-    """The header names, the first nonblank line's cells split at commas
-    and stripped, and the data rows of a CSV, as a float array with one
-    column per name. check_header(path, names) checks the names before
-    np.loadtxt reads the open file from its first data row."""
+    """While open, the CSV's header names (the first nonblank line's cells
+    split at commas and stripped), its data rows as a float array with one
+    column per name, and line_no(k), the file line of data row k (from 0).
+    check_header(path, names) checks the names before np.loadtxt reads the
+    open file from its first data row; a pipe is read into memory first,
+    so that every later pass can read the one handle from its start."""
     with open_text(path) as csv:
+        if not csv.seekable():
+            csv = io.StringIO(csv.read())
         lines = numbered_lines(csv)
         _, line = next(lines, (0, ""))
         if not line:
@@ -393,14 +397,13 @@ def _read_table(path, check_header):
         header = [name.strip() for name in line.split(",")]
         check_header(path, header)
         first = next(lines, None)       # np.loadtxt warns on an empty input
-        if first is None:
-            return header, np.empty((0, len(header)))
-        data = _parse(chain([first[1]], csv), len(header))
-    if data is None:        # a whitespace-only line, or a bad row
-        data = _parse((ln for _, ln in _data_rows(path)), len(header))
-    if data is None:
-        raise _bad_row(path, header, _data_rows(path))
-    return header, data
+        data = (np.empty((0, len(header))) if first is None
+                else _parse(chain([first[1]], csv), len(header)))
+        if data is None:        # a whitespace-only line, or a bad row
+            data = _parse((ln for _, ln in _reread(csv)), len(header))
+        if data is None:
+            raise _bad_row(path, header, _reread(csv))
+        yield header, data, lambda k: next(islice(_reread(csv), k, None))[0]
 
 
 def _trace_header(path, header):
@@ -425,30 +428,31 @@ def read_trace_csv(path) -> SimTrace:
     a discharge) raises FormatError naming its file line.
     """
     path = Path(path)
-    header, data = _read_table(path, _trace_header)
-    n = data.shape[0]
-    if n < 2:
-        raise FormatError(f"{path} has {n or 'no'} usable data "
-                          f"row{'s' * (n != 1)}; a trace needs at least 2")
-    fields = dict(zip((TRACE_COLUMNS[name][0] for name in header), data.T))
-    if "q_pair" not in fields:
-        i = fields["i_total"]
-        sign = np.sign(i)
-        first = int(np.argmax(sign != 0.0))     # the first nonzero current
-        back = np.flatnonzero(sign == -sign[first]) if sign[first] else []
-        if len(back):
-            other = back[0]
-            raise FormatError(
-                f"{path} line {_line_no(path, other)}: column i_total_A "
-                f"holds {i[other]:g} A, of the other sign from the "
-                f"{i[first]:g} A on line {_line_no(path, first)}; the charge "
-                f"column cannot be rebuilt across a change of current "
-                f"direction")
-        # cumulative trapezoid of |i| over t, from 0 at the first sample
-        t, i_abs = fields["t"], np.abs(i)
-        fields["q_pair"] = np.concatenate((
-            [0.0], np.cumsum(np.diff(t) * (i_abs[1:] + i_abs[:-1]) / 2.0)
-        )) / SECONDS_PER_HOUR
+    with _read_table(path, _trace_header) as (header, data, line_no):
+        n = data.shape[0]
+        if n < 2:
+            raise FormatError(f"{path} has {n or 'no'} usable data row"
+                              f"{'s' * (n != 1)}; a trace needs at least 2")
+        fields = dict(zip((TRACE_COLUMNS[name][0] for name in header),
+                          data.T))
+        if "q_pair" not in fields:
+            i = fields["i_total"]
+            sign = np.sign(i)
+            first = int(np.argmax(sign != 0.0))   # the first nonzero current
+            back = np.flatnonzero(sign == -sign[first]) if sign[first] else []
+            if len(back):
+                other = back[0]
+                raise FormatError(
+                    f"{path} line {line_no(other)}: column i_total_A holds "
+                    f"{i[other]:g} A, of the other sign from the "
+                    f"{i[first]:g} A on line {line_no(first)}; the charge "
+                    f"column cannot be rebuilt across a change of current "
+                    f"direction")
+            # cumulative trapezoid of |i| over t, from 0 at the first sample
+            t, i_abs = fields["t"], np.abs(i)
+            fields["q_pair"] = np.concatenate((
+                [0.0], np.cumsum(np.diff(t) * (i_abs[1:] + i_abs[:-1]) / 2.0)
+            )) / SECONDS_PER_HOUR
     zeros = np.zeros(data.shape[0])
     return SimTrace(
         **{f: fields.get(f, zeros) for f, _ in TRACE_COLUMNS.values()},
@@ -585,28 +589,28 @@ def _product_curve_header(path, header):
 
 def read_product_curve_csv(path) -> ProductCurve:
     path = Path(path)
-    _, data = _read_table(path, _product_curve_header)
-    if data.shape[0] == 0:
-        raise FormatError(f"{path} has no data rows")
-    # the rules product_curve's rows keep: whole counts of at least one
-    # cell, nonnegative spreads, products rising row by row
-    rows = []
-    for k, cells in enumerate(data.tolist()):
-        row = ProductBin(*cells)        # its count n still a float
-        n, sh, ss = row.n, row.spread_height, row.spread_skewness
-        if n != math.trunc(n):
-            problem = f"column n holds the non-integer value {n:g}"
-        elif n < 1.0:
-            problem = f"column n holds {n:g}, below 1"
-        elif sh < 0.0 or ss < 0.0:
-            problem = f"a spread is negative ({sh:g}, {ss:g})"
-        elif rows and row.product <= rows[-1].product:
-            problem = (f"product {row.product:g} is not above the previous "
-                       f"row's {rows[-1].product:g}")
-        else:
-            rows.append(dataclasses.replace(row, n=int(n)))
-            continue
-        raise FormatError(f"{path} line {_line_no(path, k)}: {problem}")
+    with _read_table(path, _product_curve_header) as (_, data, line_no):
+        if data.shape[0] == 0:
+            raise FormatError(f"{path} has no data rows")
+        # the rules product_curve's rows keep: whole counts of at least one
+        # cell, nonnegative spreads, products rising row by row
+        rows = []
+        for k, cells in enumerate(data.tolist()):
+            row = ProductBin(*cells)        # its count n still a float
+            n, sh, ss = row.n, row.spread_height, row.spread_skewness
+            if n != math.trunc(n):
+                problem = f"column n holds the non-integer value {n:g}"
+            elif n < 1.0:
+                problem = f"column n holds {n:g}, below 1"
+            elif sh < 0.0 or ss < 0.0:
+                problem = f"a spread is negative ({sh:g}, {ss:g})"
+            elif rows and row.product <= rows[-1].product:
+                problem = (f"product {row.product:g} is not above the "
+                           f"previous row's {rows[-1].product:g}")
+            else:
+                rows.append(dataclasses.replace(row, n=int(n)))
+                continue
+            raise FormatError(f"{path} line {line_no(k)}: {problem}")
     return ProductCurve(rows=rows)
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pairdva
@@ -612,21 +613,51 @@ def test_byte_order_mark_gives_the_same_features(workdir, sim_dir):
     assert json.loads(got.stdout) == json.loads(want.stdout)
 
 
-@pytest.mark.parametrize("columns", [(0, 1, 9), None],
-                         ids=["slim", "full"])
-def test_piped_trace_reads_like_the_file(workdir, sim_dir, columns):
-    # a pipe cannot be read from its start again, so the reader parses
-    # the rows past the header from the open file, as it does a file's
-    text = (sim_dir / "trace.csv").read_text()
+def trace_lines(sim_dir, columns=None, blank=None):
+    """The simulated trace CSV's lines, with their newlines: only the
+    given columns, if any, and a whitespace-only line as file line blank,
+    if given."""
+    lines = (sim_dir / "trace.csv").read_text().splitlines()
     if columns:
-        text = "".join(",".join(ln.split(",")[k] for k in columns) + "\n"
-                       for ln in text.splitlines())
-    path = workdir / f"pipe_{len(columns or ())}.csv"
+        lines = [",".join(ln.split(",")[k] for k in columns) for ln in lines]
+    if blank:
+        lines.insert(blank - 1, "  ")
+    return [ln + "\n" for ln in lines]
+
+
+@pytest.mark.parametrize("columns,blank", [
+    ((0, 1, 9), None), (None, None), ((0, 1, 9), 2000),
+], ids=["slim", "full", "slim_blank_line"])
+def test_piped_trace_reads_like_the_file(workdir, sim_dir, columns, blank):
+    # every pass of the reader reads the one open input from its start; a
+    # pipe, which cannot be rewound, is held in memory for the read, so
+    # the pass that drops a whitespace-only line reads it like the file
+    text = "".join(trace_lines(sim_dir, columns, blank))
+    path = workdir / f"pipe_{len(columns or ())}_{blank}.csv"
     path.write_text(text)
     want = run_cli(["features", str(path)], cwd=workdir)
     got = run_cli(["features", "/dev/stdin"], cwd=workdir, stdin=text)
     assert want.returncode == 0 and got.returncode == 0, got.stderr
     assert got.stdout == want.stdout
+
+
+def test_piped_read_drops_a_whitespace_only_line(sim_dir, tmp_path):
+    # 300 data rows and a whitespace-only file line 150: about 10 kB, which
+    # the pipe's buffer holds before the read starts
+    text = "".join(trace_lines(sim_dir, (0, 1, 9), 150)[:302])
+    path = tmp_path / "blank150.csv"
+    path.write_text(text)
+    want = fileio.read_trace_csv(path)
+    read, write = os.pipe()
+    with os.fdopen(write, "w") as pipe:
+        pipe.write(text)
+    try:
+        got = fileio.read_trace_csv(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    assert len(want) == 300
+    for field, _ in fileio.TRACE_COLUMNS.values():
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def assert_one_read_error(proc, message):
@@ -750,6 +781,41 @@ def test_charge_segment_in_a_discharge_rejected(workdir, sim_dir):
     assert_one_read_error(proc, f"{bad} line 602: column i_total_A holds "
                                 f"20 A, of the other sign from the -40 A "
                                 f"on line 2")
+
+
+# a trace whose file line 500 is given, and the error that names it
+PIPED_TRACE_ERRORS = {
+    "sign": ("{t},40.000,{v}", "line 500: column i_total_A holds 40 A, of "
+             "the other sign from the -40 A on line 2"),
+    "cell": ("{t},-40,abc\n", "line 500: column vt_V holds the non-numeric "
+             "value 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", ["sign", "cell", "curve"])
+def test_piped_input_error_names_the_file_line(workdir, sim_dir, case):
+    # a bad row, or a row that breaks a rule of its format, is named by its
+    # file line, read again from the start of the one open input, a pipe's
+    # too
+    if case == "curve":
+        text = (f"{PRODUCT_CURVE_HEADER}\n0.5,0.01,-0.2,0.001,0.01,3\n"
+                "1,0.016,0,0.001,0.01,2.5\n2,0.01,0.2,0.001,0.01,3\n")
+        args = ["identify", str(GOLDEN)]
+        message = "line 3: column n holds the non-integer value 2.5"
+    else:
+        row, message = PIPED_TRACE_ERRORS[case]
+        lines = trace_lines(sim_dir, (0, 1, 9))
+        t, _, v = lines[499].split(",")
+        lines[499] = row.format(t=t, v=v)
+        text, args = "".join(lines), ["features"]
+    path = workdir / f"piped_{case}_error.csv"
+    path.write_text(text)
+    want = run_cli([*args, str(path)], cwd=workdir)
+    got = run_cli([*args, "/dev/stdin"], cwd=workdir, stdin=text)
+    assert_one_read_error(want, f"{path} {message}")
+    assert_one_read_error(got, f"/dev/stdin {message}")
+    assert stderr_json(got)["message"] == stderr_json(want)["message"].replace(
+        str(path), "/dev/stdin")
 
 
 @pytest.mark.parametrize("name,row,where", [

@@ -444,10 +444,12 @@ def test_undecodable_bytes_rejected(tmp_path, where):
 
 
 def test_clean_file_is_never_read_as_text(long_csv, monkeypatch):
-    def no_text(path):
-        raise AssertionError(f"{path} read as text")
+    # every pass after the one parse reads the open file again through
+    # _reread
+    def no_text(csv):
+        raise AssertionError(f"{csv.name} read as text")
 
-    monkeypatch.setattr(fileio, "_data_rows", no_text)
+    monkeypatch.setattr(fileio, "_reread", no_text)
     assert len(fileio.read_trace_csv(long_csv)) == 10_000
 
 
