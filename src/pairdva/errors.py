@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule that a
+setting is positive and finite.
 
 Every error carries a ``stage`` name so batch front ends can report where a
 pipeline failed without parsing messages.
 """
+
+import math
 
 
 class PairDvaError(Exception):
@@ -73,3 +76,10 @@ class FormatError(PairDvaError, ValueError):
 
 class FitWarning(UserWarning):
     """Raised when the surrogate fit is rank deficient (step amplitude ~ 0)."""
+
+
+def require_positive(**values):
+    """ConfigError naming the first value that is not positive and finite."""
+    for name, value in values.items():
+        if not (0.0 < value < math.inf):
+            raise ConfigError(f"{name} must be positive and finite")

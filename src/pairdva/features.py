@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FeatureError, FitWarning, SpanError
-from .pairsim import _require_positive
+from .errors import (ConfigError, FeatureError, FitWarning, SpanError,
+                     require_positive)
 from .signal import (SmoothingConfig, VOLTAGE_WINDOW, dvdq_curve,
                      peak_height, savgol_smooth, uniform_gradient)
 
@@ -43,7 +43,7 @@ class AnalysisConfig:
             raise ConfigError("v_lo and v_hi must be finite, with v_lo < v_hi")
         if not (0.0 <= self.density_floor < math.inf):
             raise ConfigError("density_floor must be >= 0 and finite")
-        _require_positive(fit_tol=self.fit_tol)
+        require_positive(fit_tol=self.fit_tol)
 
 
 @dataclass

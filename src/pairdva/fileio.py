@@ -425,7 +425,11 @@ def read_trace_csv(path) -> SimTrace:
     A missing charge column is rebuilt by integrating |i_total| over time,
     so measured pair-level data fits through the same format; a current
     of the other sign from the first nonzero one (a charge segment inside
-    a discharge) raises FormatError naming its file line.
+    a discharge) raises FormatError naming its file line. The charge must
+    rise row by row: the first row where it does not raises FormatError
+    naming its file line and the column at fault, q_pair_Ah when the file
+    gives the charge, else t_s for a time that does not advance or
+    i_total_A for a rest at zero current.
     """
     path = Path(path)
     with _read_table(path, _trace_header) as (header, data, line_no):
@@ -453,6 +457,18 @@ def read_trace_csv(path) -> SimTrace:
             fields["q_pair"] = np.concatenate((
                 [0.0], np.cumsum(np.diff(t) * (i_abs[1:] + i_abs[:-1]) / 2.0)
             )) / SECONDS_PER_HOUR
+        flat = np.flatnonzero(np.diff(fields["q_pair"]) <= 0.0)
+        if flat.size:
+            k, t = int(flat[0]) + 1, fields["t"]
+            name, rule = (
+                ("q_pair_Ah", "the charge") if "q_pair_Ah" in header
+                else ("t_s", "the time") if t[k] <= t[k - 1]
+                else ("i_total_A", "the charge rebuilt from it"))
+            before, now = data[k - 1:k + 1, header.index(name)].tolist()
+            raise FormatError(
+                f"{path} line {line_no(k)}: column {name} holds {now!r} "
+                f"after {before!r} on line {line_no(k - 1)}; {rule} must "
+                f"rise row by row")
     zeros = np.zeros(data.shape[0])
     return SimTrace(
         **{f: fields.get(f, zeros) for f, _ in TRACE_COLUMNS.values()},

@@ -8,7 +8,6 @@ instead of one Python step at a time, to the bits of the step-by-step loop.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,125 +47,92 @@ class Ocv:
                         (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066))
 
     def __post_init__(self):
-        # The potentials share one stack of terms over z's shape: z,
-        # z^2..z^n and e_pos, the rows of u_pos, then e_neg and
-        # tanh_1..tanh_k, those of u_neg. Each potential folds its weighted
-        # rows by np.subtract.reduce from a scalar start, in their written
-        # order (numpy adds with pairwise sums; a - (-b) is a + b to the
-        # bit): u_pos = p0 - pos_coef . (z, z^2..z^n, e_pos), du_pos/dz =
-        # p1 - pos_slope . (z..z^(n-1)) + pa pk e_pos, u_neg = neg_base -
-        # neg_coef . (e_neg, tanh_1..tanh_k).
+        # The potentials share one stack of terms, a row each over the
+        # flattened z: z, z^2..z^n and e_pos, the rows of u_pos, then e_neg
+        # and tanh_1..tanh_k, those of u_neg. Each potential folds its
+        # weighted rows by np.subtract.reduce from a scalar start, in their
+        # written order (numpy adds with pairwise sums; a - (-b) is a + b to
+        # the bit). With p0..pn the pos_poly: u_pos = p0 - coef[:n+1] . (z,
+        # z^2..z^n, e_pos), du_pos/dz = p1 - slope . (z..z^(n-1)) + pa pk
+        # e_pos and u_neg = neg_base - coef[n+1:] . (e_neg, tanh_1..tanh_k).
+        # Each row of constants is a read-only column and each scalar a
+        # read-only 0-d array, built once per curve.
         powers = np.arange(2.0, len(self.pos_poly))
         heights, centres, widths = np.array(self.neg_steps).T
-        for name, row in dict(
-                pos_powers=powers, pos_slope=-powers * self.pos_poly[2:],
-                pos_coef=-np.append(self.pos_poly[1:], -self.pos_exp[0]),
-                neg_coef=np.append(-self.neg_exp[0], heights),
-                neg_m=centres, neg_w=widths, neg_hw=heights / widths).items():
-            row.flags.writeable = False
-            object.__setattr__(self, name, row)
-        # shaped once for each z.ndim the package evaluates: 0, 1 and 2
-        object.__setattr__(self, "shaped", tuple(map(self.rows, range(3))))
-
-    def rows(self, ndim):
-        """The _Rows of a z with ndim dimensions."""
-        def shaped(*values):
-            row = np.concatenate(values).reshape((-1,) + (1,) * ndim)
-            row.flags.writeable = False
-            return row
-
         pa, pk, pb = self.pos_exp
         na, nk, ns, nb = self.neg_exp
-        coef = shaped(self.pos_coef, self.neg_coef)
-        return _Rows(
-            (len(coef),), len(self.pos_coef), shaped(self.pos_powers),
-            shaped(self.neg_m), shaped(self.neg_w), coef,
-            shaped(self.pos_slope), shaped(self.neg_hw), self.pos_poly[0],
-            self.pos_poly[1], self.neg_base,
-            *map(_constant, (pk, pb, ns, nb, -nk, pa * pk, -na * nk * ns)))
-
-
-class _Rows(NamedTuple):
-    """What one evaluation over a z of one ndim reads: an Ocv's rows, each
-    value on its own row over z's shape, and its scalars."""
-
-    n_terms: tuple          # (rows of the terms,)
-    n_pos: int              # rows of u_pos's terms, first
-    powers: np.ndarray      # of z^2..z^n
-    centres: np.ndarray
-    widths: np.ndarray
-    coef: np.ndarray        # pos_coef, then neg_coef
-    slope: np.ndarray       # pos_slope
-    hw: np.ndarray          # neg_hw
-    p0: float
-    p1: float
-    neg_base: float
-    pk: np.ndarray          # the rest 0-d
-    pb: np.ndarray
-    ns: np.ndarray
-    nb: np.ndarray
-    minus_nk: np.ndarray
-    pa_pk: np.ndarray
-    minus_na_nk_ns: np.ndarray
+        for name, row in dict(
+                powers=powers, slope=-powers * self.pos_poly[2:],
+                coef=np.concatenate((np.negative(self.pos_poly[1:]),
+                                     [pa, -na], heights)),
+                centres=centres, widths=widths, hw=heights / widths).items():
+            column = row.reshape(-1, 1)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        for name, value in dict(
+                pk=pk, pb=pb, ns=ns, nb=nb, minus_nk=-nk, pa_pk=pa * pk,
+                minus_na_nk_ns=-na * nk * ns).items():
+            object.__setattr__(self, name, _constant(value))
 
 
 OCV = Ocv()    # a study sets kernels.OCV = dataclasses.replace(OCV, ...)
 
 
 def _terms(z):
-    """The stack of terms over z's shape, and the _Rows it was built from."""
+    """The stack of terms over the flattened z, the curve it was built
+    from and z's shape."""
     z = np.asarray(z)
-    shaped = OCV.shaped
-    rows = shaped[z.ndim] if z.ndim < len(shaped) else OCV.rows(z.ndim)
-    k = rows.n_pos
-    t = np.empty(rows.n_terms + z.shape)
-    t[0] = z
-    z = t[0, ...]       # contiguous, as a slice of the integrator's is not
+    c = OCV
+    k = len(c.pos_poly)     # rows of u_pos's terms, first
+    t = np.empty((len(c.coef), z.size))
+    flat = t[0]             # contiguous, as a slice of the integrator's is not
+    flat.reshape(z.shape)[...] = z
     # np.float_power is the C library's pow, which z**k on a float or a
     # numpy scalar also calls, so the formulas give the same bits on floats
     # and on arrays; numpy's array ** rounds differently in about 5% of cases
-    np.float_power(z, rows.powers, out=t[1:k - 1])
+    np.float_power(flat, c.powers, out=t[1:k - 1])
     # e_pos = exp(pk (1 - z) - pb) and e_neg = exp(-nk (ns z + nb)), side by
     # side
-    exps, pos, neg = t[k - 1:k + 1], t[k - 1, ...], t[k, ...]
-    np.subtract(_ONE, z, out=pos)
-    pos *= rows.pk
-    pos -= rows.pb
-    np.multiply(rows.ns, z, out=neg)
-    neg += rows.nb
-    neg *= rows.minus_nk
+    exps, pos, neg = t[k - 1:k + 1], t[k - 1], t[k]
+    np.subtract(_ONE, flat, out=pos)
+    pos *= c.pk
+    pos -= c.pb
+    np.multiply(c.ns, flat, out=neg)
+    neg += c.nb
+    neg *= c.minus_nk
     np.exp(exps, out=exps)
     tanhs = t[k + 1:]
-    np.subtract(z, rows.centres, out=tanhs)
-    tanhs /= rows.widths
+    np.subtract(flat, c.centres, out=tanhs)
+    tanhs /= c.widths
     np.tanh(tanhs, out=tanhs)
-    return t, rows
+    return t, c, z.shape
 
 
-def _potentials(t, rows):
-    """u_pos and u_neg from the terms."""
-    weighted = rows.coef * t
-    k = rows.n_pos
-    return (np.subtract.reduce(weighted[:k], axis=0, initial=rows.p0),
-            np.subtract.reduce(weighted[k:], axis=0, initial=rows.neg_base))
+def _potentials(t, c, shape):
+    """u_pos and u_neg from the terms, in z's shape."""
+    weighted = c.coef * t
+    k = len(c.pos_poly)
+    pos = np.subtract.reduce(weighted[:k], axis=0, initial=c.pos_poly[0])
+    neg = np.subtract.reduce(weighted[k:], axis=0, initial=c.neg_base)
+    return pos.reshape(shape)[()], neg.reshape(shape)[()]
 
 
-def _slope(t, rows):
-    """d(u_pos - u_neg)/dz from the terms, which it overwrites with its own
-    rows: pos_slope z..z^(n-1) and pa pk e_pos of du_pos/dz, then -na nk ns
-    e_neg and neg_hw (1 - tanh^2) of du_neg/dz."""
-    k = rows.n_pos
-    pos, e_pos, neg = t[:k - 2], t[k - 1, ...], t[k:]
-    e_neg, tanhs = t[k, ...], t[k + 1:]
-    pos *= rows.slope
-    e_pos *= rows.pa_pk
-    e_neg *= rows.minus_na_nk_ns
+def _slope(t, c, shape):
+    """d(u_pos - u_neg)/dz from the terms, in z's shape, which it
+    overwrites with its own rows: slope z..z^(n-1) and pa pk e_pos of
+    du_pos/dz, then -na nk ns e_neg and hw (1 - tanh^2) of du_neg/dz."""
+    k = len(c.pos_poly)
+    pos, e_pos, neg = t[:k - 2], t[k - 1], t[k:]
+    e_neg, tanhs = t[k], t[k + 1:]
+    pos *= c.slope
+    e_pos *= c.pa_pk
+    e_neg *= c.minus_na_nk_ns
     # sech^2 written as 1 - tanh^2 so large arguments cannot overflow
     tanhs *= tanhs
     np.subtract(_ONE, tanhs, out=tanhs)
-    tanhs *= rows.hw
-    return ((np.subtract.reduce(pos, axis=0, initial=rows.p1) + e_pos)
-            - np.subtract.reduce(neg, axis=0))
+    tanhs *= c.hw
+    return ((np.subtract.reduce(pos, axis=0, initial=c.pos_poly[1]) + e_pos)
+            - np.subtract.reduce(neg, axis=0)).reshape(shape)[()]
 
 
 def u_pos(z):
@@ -188,9 +154,9 @@ def docv_dz(z):
 
 def ocv_and_slope(z):
     """ocv(z) and docv_dz(z), bit for bit, from one set of terms."""
-    t, rows = _terms(z)
-    pos, neg = _potentials(t, rows)
-    return pos - neg, _slope(t, rows)
+    t, c, shape = _terms(z)
+    pos, neg = _potentials(t, c, shape)
+    return pos - neg, _slope(t, c, shape)
 
 
 # --- discharge integration -------------------------------------------------
@@ -231,7 +197,7 @@ def ocv_and_slope(z):
 # A pass also has a fixed cost, whatever its width, in numpy call
 # overhead: about 130 us on (0.7, 1.6) at WINDOW = 8 (the run's time over
 # its 2,525 passes, 2 cores), against 200 us in the same minutes before
-# the OCV's rows were shaped once per curve, the scalars became 0-d
+# the OCV's rows were built once per curve, the scalars became 0-d
 # arrays, the capacities stopped broadcasting and a pass stopped building
 # end codes where window-wide tests rule every end out.
 

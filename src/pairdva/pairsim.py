@@ -13,18 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, IntegrationError, require_positive
 
 SECONDS_PER_HOUR = 3600.0
 # the most steps a run may take: 800 MB of a pair's trace columns
 _MAX_STEPS = 10 ** 7
-
-
-def _require_positive(**values):
-    """ConfigError naming the first value that is not positive and finite."""
-    for name, value in values.items():
-        if not (0.0 < value < math.inf):
-            raise ConfigError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -35,8 +28,8 @@ class CellParams:
     resistance_ohm: float
 
     def __post_init__(self):
-        _require_positive(capacity_ah=self.capacity_ah,
-                          resistance_ohm=self.resistance_ohm)
+        require_positive(capacity_ah=self.capacity_ah,
+                         resistance_ohm=self.resistance_ohm)
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ class PairSpec:
         if not (1.0 <= self.beta < math.inf):
             raise ConfigError(
                 "beta must be >= 1 and finite (cell2 is the weak cell)")
-        _require_positive(c_total=self.c_total, r_parallel=self.r_parallel)
+        require_positive(c_total=self.c_total, r_parallel=self.r_parallel)
 
     @property
     def cell1(self) -> CellParams:
@@ -87,7 +80,7 @@ class SimConfig:
     t_max: float = field(default=None, metadata={"key": "t_max_s"})
 
     def __post_init__(self):
-        _require_positive(c_rate=self.c_rate, dt=self.dt)
+        require_positive(c_rate=self.c_rate, dt=self.dt)
         if not (0.0 < self.z0 <= 1.0):
             raise ConfigError("z0 must lie in (0, 1]")
         if not (0.0 <= self.soc_floor <= 0.1):
@@ -99,7 +92,7 @@ class SimConfig:
         if self.t_max is None:
             object.__setattr__(
                 self, "t_max", 5.0 * (1.0 / self.c_rate) * SECONDS_PER_HOUR)
-        _require_positive(t_max=self.t_max)
+        require_positive(t_max=self.t_max)
         if not math.isfinite(self.t_max / self.dt):
             raise ConfigError("t_max / dt must be finite")
         lo, hi = kernels.ocv(np.array([0.0, 1.0]))

@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWindowError, FormatError, NoPeakError, SpanError
-from .pairsim import _require_positive
+from .errors import (ConfigError, EmptyWindowError, FormatError, NoPeakError,
+                     SpanError, require_positive)
 
 VOLTAGE_WINDOW = (3.7, 3.9)
 # the most points a charge grid may hold: 80 MB a column, as many as the
@@ -27,7 +27,7 @@ class SmoothingConfig:
     sg_order: int = 3
 
     def __post_init__(self):
-        _require_positive(dq_ah=self.dq_ah)
+        require_positive(dq_ah=self.dq_ah)
         if self.sg_window % 2 != 1 or self.sg_window <= self.sg_order + 1:
             raise ConfigError(
                 "sg_window must be odd and greater than sg_order + 1")

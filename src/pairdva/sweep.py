@@ -13,11 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IdentifyError, PairDvaError, SweepError
+from .errors import (ConfigError, IdentifyError, PairDvaError, SweepError,
+                     require_positive)
 from .features import AnalysisConfig, PeakFeatures, extract_features
 from .pairsim import (SECONDS_PER_HOUR, PairSpec, SimConfig,
-                      _discharge_current, _require_positive, make_pair,
-                      simulate_cc_discharge)
+                      _discharge_current, make_pair, simulate_cc_discharge)
 from .signal import _MAX_GRID_POINTS, SmoothingConfig
 
 
@@ -47,7 +47,7 @@ class GridConfig:
         for name in ("beta_min", "beta_max"):
             if not (1.0 <= getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be >= 1 and finite")
-        _require_positive(bin_width=self.bin_width)
+        require_positive(bin_width=self.bin_width)
 
     @property
     def alpha_grid(self) -> np.ndarray:
@@ -109,7 +109,9 @@ class ProductBin:
 @dataclass
 class ProductCurve:
     rows: list
-    bin_width: float = GridConfig.bin_width
+    # the width the rows were binned at; None for a curve read from a
+    # file, which does not carry it
+    bin_width: float = None
 
 
 class Candidate(NamedTuple):
@@ -188,7 +190,7 @@ def product_curve(fmap: FeatureMap,
     Spread is max - min within the bin (worst case, matching the visual
     collapse claim rather than a variance).
     """
-    _require_positive(bin_width=bin_width)
+    require_positive(bin_width=bin_width)
     groups = {}
     for cell in fmap.cells:
         if not cell.ok:

@@ -752,19 +752,45 @@ def test_non_finite_trace_value_rejected(workdir, sim_dir):
 
 
 def test_repeated_timestamp_names_sample(workdir):
-    # a repeated t_s gives two samples with the same charge
+    # a repeated t_s gives two samples with the same charge: the reader
+    # names the file line and the time column
     bad = workdir / "repeated_t.csv"
     bad.write_text("t_s,i_total_A,vt_V\n0,-40,4.1\n1,-40,4.0\n"
                    "1,-40,3.95\n2,-40,3.9\n")
     proc = run_cli(["features", str(bad)], cwd=workdir)
-    assert proc.returncode == 2
-    doc = stderr_json(proc)
-    assert doc["error"] == "FormatError"
-    # the reader accepts the file; the resample stage rejects its charge
-    assert doc["stage"] == "resample"
-    assert doc["message"].endswith(
-        "not strictly increasing: 0.011111111111111112 at sample 2 after "
-        "0.011111111111111112")
+    assert_one_read_error(proc, f"{bad} line 4: column t_s holds 1.0 after "
+                                f"1.0 on line 3; the time must rise row by "
+                                f"row")
+
+
+@pytest.mark.parametrize("case", ["time", "rest", "charge"])
+def test_a_charge_that_does_not_rise_names_line_and_column(workdir, sim_dir,
+                                                           case):
+    # from file line 501: a repeated time, a 20-row rest at zero current
+    # with the charge rebuilt, or a repeated charge the file gives; read
+    # from the file and piped alike
+    lines = trace_lines(sim_dir, (0, 1, 6, 9) if case == "charge"
+                        else (0, 1, 9))
+    rows = [ln.rstrip("\n").split(",") for ln in lines]
+    if case == "rest":
+        for row in rows[500:520]:
+            row[1] = "0"
+        message = ("line 502: column i_total_A holds 0.0 after 0.0 on line "
+                   "501; the charge rebuilt from it must rise row by row")
+    else:
+        col, name, what = ((0, "t_s", "time") if case == "time"
+                           else (2, "q_pair_Ah", "charge"))
+        rows[500][col] = rows[499][col]
+        value = float(rows[499][col])
+        message = (f"line 501: column {name} holds {value!r} after "
+                   f"{value!r} on line 500; the {what} must rise row by row")
+    text = "".join(",".join(row) + "\n" for row in rows)
+    path = workdir / f"not_rising_{case}.csv"
+    path.write_text(text)
+    want = run_cli(["features", str(path)], cwd=workdir)
+    got = run_cli(["features", "/dev/stdin"], cwd=workdir, stdin=text)
+    assert_one_read_error(want, f"{path} {message}")
+    assert_one_read_error(got, f"/dev/stdin {message}")
 
 
 def test_charge_segment_in_a_discharge_rejected(workdir, sim_dir):

@@ -96,15 +96,21 @@ def test_ocv_and_slope_equals_ocv_and_docv_dz():
 
 
 def test_float_and_array_shapes_give_the_same_bits():
-    # the electrode terms are stacked over z's shape; each element of a
-    # 1-D or (2, m) array must come out as it does on its own float
+    # the electrode terms are stacked over the flattened z; each element of
+    # a 1-D or (2, m) array, or of a strided (2, m) view like the
+    # integrator's x[:, :-1], must come out as it does on its own float,
+    # which gives an np.float64
     z = np.linspace(-0.5, 1.5, 1001)
     grid = np.stack((z, z[::-1]))
+    view = np.stack((np.append(z, 2.0), np.append(z[::-1], 2.0)))[:, :-1]
+    assert not view.flags.c_contiguous
     for f in (kernels.ocv, kernels.docv_dz, kernels.u_pos, kernels.u_neg,
               lambda zz: kernels.ocv_and_slope(zz)[0],
               lambda zz: kernels.ocv_and_slope(zz)[1]):
         flat = f(z)
         assert np.array_equal(f(grid), np.stack((flat, flat[::-1])))
+        assert np.array_equal(f(view), np.stack((flat, flat[::-1])))
+        assert type(f(0.59)) is np.float64
         assert all(f(float(zi)) == flat[i] for i, zi in enumerate(z))
 
 
@@ -125,21 +131,24 @@ def test_the_curve_is_one_frozen_value():
          (0.009, 0.23, 0.016), (0.0145, 0.59, 0.024), (0.080, 1.24, 0.066)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         kernels.OCV.neg_base = 0.07
-    for name in ("pos_powers", "pos_coef", "pos_slope", "neg_coef", "neg_m",
-                 "neg_w", "neg_hw"):
-        row = getattr(kernels.OCV, name)
+    rows = ("powers", "slope", "coef", "centres", "widths", "hw", "pk",
+            "pb", "ns", "nb", "minus_nk", "pa_pk", "minus_na_nk_ns")
+    for name in rows:
         with pytest.raises(ValueError, match="read-only"):
-            row[0] = 1.0
-    # so are the rows shaped from them for a float, a 1-d and a 2-d z
-    for rows in kernels.OCV.shaped:
-        for row in rows:
-            if isinstance(row, np.ndarray):
-                with pytest.raises(ValueError, match="read-only"):
-                    row[...] = 1.0
+            getattr(kernels.OCV, name)[...] = 1.0
+    # a replaced curve derives rows of its own, and leaves OCV's as they were
+    coef = kernels.OCV.coef.copy()
+    moved = dataclasses.replace(kernels.OCV, neg_exp=(0.9, 75.0, 0.83, 0.007))
+    for name in rows:
+        assert not np.shares_memory(getattr(moved, name),
+                                    getattr(kernels.OCV, name))
+    assert moved.coef[6, 0] == -0.9
+    assert np.array_equal(kernels.OCV.coef, coef)
 
 
 def test_a_three_dimensional_z_gives_the_same_bits():
-    # rows are shaped once for z.ndim 0, 1 and 2; a 3-d z shapes its own
+    # every z is evaluated flat and laid back out in its shape, a 3-d one
+    # too
     z = np.linspace(-0.5, 1.5, 24)
     for f in (ocv, docv_dz, u_pos, u_neg,
               lambda zz: kernels.ocv_and_slope(zz)[1]):

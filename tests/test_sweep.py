@@ -255,6 +255,18 @@ def test_single_cell_curve_has_zero_spread():
     assert row.product == pytest.approx(0.88)
 
 
+def test_a_curve_read_from_its_csv_holds_no_bin_width(default_sweep,
+                                                      tmp_path):
+    # the CSV does not carry the width the rows were binned at
+    curve = product_curve(default_sweep, 0.05)
+    assert curve.bin_width == 0.05
+    path = tmp_path / "curve.csv"
+    fileio.write_product_curve_csv(curve, path)
+    back = fileio.read_product_curve_csv(path)
+    assert [r.n for r in back.rows] == [r.n for r in curve.rows]
+    assert back.bin_width is None
+
+
 def test_features_collapse_onto_product(default_sweep, default_curve):
     heights = [c.features.height for c in default_sweep.cells if c.ok]
     full_range = max(heights) - min(heights)
